@@ -7,8 +7,8 @@ Subcommands:
   check     run the built-in verification suites
 
 Exit codes: 0 success, 1 failed checks, 2 bad usage or aborted solve.
-Images are 8-bit binary PGM (P5, maxval 255); internal [0, 1] values are
-quantized with round(255*v) on write.
+Images are binary PGM (P5), 8- or 16-bit on read and 8-bit on write, where
+internal [0, 1] values are quantized with round(255*v).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM into a [0, 1] float image."""
+    """Read an 8- or 16-bit (big-endian) binary PGM into a [0, 1] float image."""
     raw = Path(path).read_bytes()
     # header: magic, width, height, maxval; '#' comments allowed between tokens
     tokens: List[bytes] = []
@@ -70,8 +70,13 @@ def read_pgm(path) -> np.ndarray:
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (P5) file")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: PGM maxval must lie in 1..65535, got {maxval}")
     pos += 1  # single whitespace byte after maxval
-    data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    if len(raw) - pos < w * h * dtype.itemsize:
+        raise ValueError(f"{path}: truncated PGM payload, expected {w}x{h} samples")
+    data = np.frombuffer(raw, dtype=dtype, count=w * h, offset=pos)
     return data.reshape((h, w)).astype(np.float64) / float(maxval)
 
 
@@ -191,8 +196,6 @@ def _solver_config(cfg, audit: bool, snapshot_every: int = 0) -> SolverConfig:
         precond_mode=_PRECOND_MODES[cfg["precond"]],
         audit=audit,
         snapshot_every=snapshot_every,
-        c_target=cfg["c"],
-        mu_target=cfg["mu"],
     )
 
 

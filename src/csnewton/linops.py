@@ -10,7 +10,9 @@ and implements the conjugate transpose, so that for all u, v
 with the conjugate inner product ``vdot`` in the complex case.
 
 Conventions for the 2D discrete-gradient dictionary:
-  * images are stacked column-major (``order='F'``), pixel p = r + c*n1;
+  * images are stacked column-major, pixel p = r + c*n1, and stay flat:
+    kernels slice the flat vector (the partial DCT views it as a C-order
+    (n2, n1) array), so no Fortran-order copy of an image is made;
   * ``adjoint_apply(x)`` returns horizontal forward differences in the
     real part and vertical forward differences in the imaginary part;
   * forward differences are zero at the trailing column/row (Neumann
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dctn, idctn
 
 __all__ = [
@@ -55,10 +56,12 @@ class LinearOperator:
     adjoint_apply : callable
         Maps a length-``rows`` vector to a length-``cols`` vector;
         implements the conjugate transpose of ``apply``.
-    re_im_parts : tuple of sparse matrices, optional
-        ``(Re(M), Im(M))`` of the represented matrix M when a sparse
-        materialization is cheap (gradient stencils, dense dictionaries).
-        Required by the exact banded preconditioner; ``None`` otherwise.
+    curvature_band : callable, optional
+        ``curvature_band(d1, d4, d23)`` returns, as a new Fortran-order
+        array, the LAPACK upper-band storage of the real symmetric S with
+        S v = synth_real(op, d1*r + d23*i, d4*i + d23*r), where
+        (r, i) = analysis_parts(op, v).  Required by the exact banded
+        preconditioner; ``None`` where S is not cheap to write down.
     """
 
     rows: int
@@ -66,7 +69,7 @@ class LinearOperator:
     field: str
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray], np.ndarray]
-    re_im_parts: Optional[Tuple[sp.spmatrix, sp.spmatrix]] = field(
+    curvature_band: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = field(
         default=None, repr=False
     )
     # optional fast kernels; semantics fixed by the module helpers below
@@ -149,12 +152,12 @@ def make_mask(n: int, m: int, seed: int, include_first: bool = False) -> Samplin
 
 def _grad2d_channels(x: np.ndarray, n1: int, n2: int) -> Tuple[np.ndarray, np.ndarray]:
     """Horizontal and vertical forward differences as two real images."""
-    im = x.reshape((n1, n2), order="F")
-    h = np.zeros((n1, n2))
-    v = np.zeros((n1, n2))
-    np.subtract(im[:, 1:], im[:, :-1], out=h[:, :-1])
-    np.subtract(im[1:, :], im[:-1, :], out=v[:-1, :])
-    return h.ravel(order="F"), v.ravel(order="F")
+    h, v = np.empty(n1 * n2), np.empty(n1 * n2)
+    np.subtract(x[n1:], x[:-n1], out=h[:-n1])
+    np.subtract(x[1:], x[:-1], out=v[:-1])
+    h[-n1:] = 0.0
+    v[n1 - 1 :: n1] = 0.0
+    return h, v
 
 
 def _grad2d_analysis(x: np.ndarray, n1: int, n2: int) -> np.ndarray:
@@ -175,49 +178,44 @@ def _grad2d_analysis(x: np.ndarray, n1: int, n2: int) -> np.ndarray:
 def _grad2d_synth_channels(p: np.ndarray, q: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """Real part of the synthesis of channel pair (p, q): the negative
     divergence built from the transposed difference stencils."""
-    P = p.reshape((n1, n2), order="F")
-    Q = q.reshape((n1, n2), order="F")
-    out = np.zeros((n1, n2))
-    out[:, :-1] -= P[:, :-1]
-    out[:, 1:] += P[:, :-1]
-    out[:-1, :] -= Q[:-1, :]
-    out[1:, :] += Q[:-1, :]
-    return out.ravel(order="F")
+    qz = q.copy()
+    qz[n1 - 1 :: n1] = 0.0  # vertical differences stop at the trailing row
+    out = np.zeros(n1 * n2)
+    out[:-n1] -= p[:-n1]
+    out[n1:] += p[:-n1]
+    out[:-1] -= qz[:-1]
+    out[1:] += qz[:-1]
+    return out
 
 
 def _grad2d_synthesis(z: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """Adjoint of :func:`_grad2d_analysis`."""
     z = np.asarray(z, dtype=np.complex128)
-    re = _grad2d_synth_channels(z.real.copy(), z.imag.copy(), n1, n2)
-    im = _grad2d_synth_channels(z.imag.copy(), -z.real, n1, n2)
     out = np.empty(n1 * n2, dtype=np.complex128)
-    out.real = re
-    out.imag = im
+    out.real = _grad2d_synth_channels(z.real, z.imag, n1, n2)
+    out.imag = _grad2d_synth_channels(z.imag, -z.real, n1, n2)
     return out
 
 
-def _grad2d_sparse_parts(n1: int, n2: int) -> Tuple[sp.spmatrix, sp.spmatrix]:
-    """Sparse Re/Im parts of the synthesis matrix W (W* is the analysis map)."""
-    n = n1 * n2
-    # horizontal difference matrix D_h: row p, entries -1 at p, +1 at p+n1
-    keep_h = np.arange(n)[np.arange(n) // n1 < n2 - 1]
-    dh = sp.coo_matrix(
-        (
-            np.concatenate((-np.ones(keep_h.size), np.ones(keep_h.size))),
-            (np.concatenate((keep_h, keep_h)), np.concatenate((keep_h, keep_h + n1))),
-        ),
-        shape=(n, n),
-    ).tocsr()
-    keep_v = np.arange(n)[np.arange(n) % n1 < n1 - 1]
-    dv = sp.coo_matrix(
-        (
-            np.concatenate((-np.ones(keep_v.size), np.ones(keep_v.size))),
-            (np.concatenate((keep_v, keep_v)), np.concatenate((keep_v, keep_v + 1))),
-        ),
-        shape=(n, n),
-    ).tocsr()
-    # W* = D_h + i D_v, so W = D_h^T - i D_v^T
-    return dh.T.tocsr(), (-dv.T).tocsr()
+def _grad2d_curvature_band(d1, d4, d23, n1: int, n2: int) -> np.ndarray:
+    """Upper band of S = Dh^T d1 Dh + Dv^T d4 Dv + Dh^T d23 Dv + Dv^T d23 Dh
+    for W* = Dh + i Dv: the 7-diagonal stencil, upper offsets 0, 1, n1-1, n1."""
+    ah, av, ac = d1.copy(), d4.copy(), d23.copy()
+    # Dh rows leave the image at the trailing column, Dv rows at the trailing row
+    ah[-n1:] = ac[-n1:] = 0.0
+    av[n1 - 1 :: n1] = ac[n1 - 1 :: n1] = 0.0
+    ab = np.zeros((n1 + 1, n1 * n2), order="F")
+    h, v = ah.copy(), av.copy()
+    h[n1:] += ah[:-n1]
+    v[1:] += av[:-1]
+    # the four terms of S add up left to right; the rounding, and with it
+    # the banded preconditioner's PCG trajectory, depends on that order
+    ab[n1] = h + v + ac + ac
+    # entry (i, i + k) of S is stored at ab[n1 - k, i + k]
+    ab[n1 - 1, 1:] -= av[:-1] + ac[:-1]
+    ab[1, n1:] += ac[:-n1]
+    ab[0, n1:] -= ah[:-n1] + ac[:-n1]
+    return ab
 
 
 def make_gradient2d(n1: int, n2: int) -> LinearOperator:
@@ -236,7 +234,7 @@ def make_gradient2d(n1: int, n2: int) -> LinearOperator:
         field="complex",
         apply=lambda z: _grad2d_synthesis(z, n1, n2),
         adjoint_apply=lambda x: _grad2d_analysis(x, n1, n2),
-        re_im_parts=_grad2d_sparse_parts(n1, n2),
+        curvature_band=lambda d1, d4, d23: _grad2d_curvature_band(d1, d4, d23, n1, n2),
         fast_synth_real=lambda p, q: _grad2d_synth_channels(p, q, n1, n2),
         fast_analysis_parts=lambda v: _grad2d_channels(v, n1, n2),
     )
@@ -253,7 +251,8 @@ def _require_power_of_two(k: int, what: str) -> None:
 
 
 def make_partial_dct2(n1: int, n2: int, mask: SamplingMask) -> LinearOperator:
-    """Row selection of the orthonormal 2D DCT-II of a column-stacked image."""
+    """Row selection of the orthonormal 2D DCT-II of a column-stacked image,
+    transformed as a C-order (n2, n1) view down each image column first."""
     _require_power_of_two(n1, "n1")
     _require_power_of_two(n2, "n2")
     n = n1 * n2
@@ -263,16 +262,13 @@ def make_partial_dct2(n1: int, n2: int, mask: SamplingMask) -> LinearOperator:
     m = len(mask)
 
     def apply(x):
-        coeff = dctn(
-            np.asarray(x, dtype=np.float64).reshape((n1, n2), order="F"),
-            norm="ortho",
-        )
-        return coeff.ravel(order="F")[idx]
+        image = np.asarray(x, dtype=np.float64).reshape((n2, n1))
+        return dctn(image, axes=(1, 0), norm="ortho").ravel()[idx]
 
     def adjoint_apply(v):
         full = np.zeros(n)
         full[idx] = v
-        return idctn(full.reshape((n1, n2), order="F"), norm="ortho").ravel(order="F")
+        return idctn(full.reshape((n2, n1)), axes=(1, 0), norm="ortho").ravel()
 
     return LinearOperator(rows=m, cols=n, field="real", apply=apply, adjoint_apply=adjoint_apply)
 
@@ -333,15 +329,23 @@ def make_dense_dictionary(entries: np.ndarray, field: str = "real") -> LinearOpe
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
         raise ValueError("entries must be finite")
     rows, cols = mat.shape
-    re = sp.csr_matrix(np.ascontiguousarray(mat.real))
-    imag = sp.csr_matrix(np.ascontiguousarray(mat.imag))
+    re, im = mat.real, mat.imag
+
+    def curvature_band(d1, d4, d23):
+        cross = (re * d23) @ im.T
+        s = (re * d1) @ re.T + (im * d4) @ im.T - cross - cross.T
+        i, j = np.triu_indices(rows)  # full band: (i, j) at ab[rows - 1 + i - j, j]
+        ab = np.zeros((rows, rows), order="F")
+        ab[rows - 1 + i - j, j] = s[i, j]
+        return ab
+
     return LinearOperator(
         rows=rows,
         cols=cols,
         field=field,
         apply=lambda z: mat @ z,
         adjoint_apply=lambda x: mat.conj().T @ x,
-        re_im_parts=(re, imag),
+        curvature_band=curvature_band,
     )
 
 

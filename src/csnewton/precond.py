@@ -5,11 +5,16 @@ nearly row-orthogonal A, while the smoothed-regularizer part dominates as
 mu shrinks.  Replacing A^T A by rho*I therefore keeps the dominant term
 and yields a target that is either
 
-  * assembled explicitly and factorized with a symmetric banded Cholesky
-    when the dictionary exposes its sparse stencil (2D gradients give a
-    band equal to the pixel-column stride), or
+  * factorized with a symmetric banded Cholesky when the dictionary's
+    ``curvature_band`` kernel writes the LAPACK band of sym(Bt) from the
+    Newton system's diagonals (2D gradients give a 7-diagonal stencil with
+    the pixel-column stride as bandwidth), or
   * applied approximately by a fixed number of plain CG iterations when
     only operator actions are available.
+
+The band is shifted and factorized in place.  The factor's input is
+checked for finite values, the back-solve's is not: PCG rejects a
+non-finite preconditioned residual itself.
 
 The fixed inner count keeps the approximate application (numerically) a
 fixed linear action within one outer PCG solve.
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, eigvalsh
 
 from .krylov import pcg_solve
@@ -49,39 +53,6 @@ class Preconditioner:
     action: Optional[Callable[[np.ndarray], np.ndarray]]
     rebuilds: int = 0
     inner: int = 0
-    ntilde_matvec: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-
-def _assemble_sym_curvature(system) -> sp.spmatrix:
-    """Explicit sparse sym(Bt) from the dictionary's Re/Im stencils.
-
-    The analysis channels are rows of Re(W)^T and -Im(W)^T, so the
-    coupling diagonal d23 enters the assembled cross blocks with its sign
-    flipped relative to the matrix-free action.
-    """
-    parts = system.obj.W.re_im_parts
-    if parts is None:
-        raise ValueError(
-            "exact banded preconditioning needs a dictionary with sparse "
-            "Re/Im parts (2D gradient or dense dictionary)"
-        )
-    rw, iw = parts
-    d1 = sp.diags(system.d1)
-    d4 = sp.diags(system.d4)
-    h = sp.diags(-system.d23)
-    s = rw @ d1 @ rw.T + iw @ d4 @ iw.T + rw @ h @ iw.T + iw @ h @ rw.T
-    return s.tocsr()
-
-
-def _banded_upper(mat: sp.spmatrix) -> np.ndarray:
-    """LAPACK upper-banded storage of a symmetric sparse matrix."""
-    coo = mat.tocoo()
-    bw = int(np.max(np.abs(coo.row - coo.col), initial=0))
-    n = mat.shape[0]
-    ab = np.zeros((bw + 1, n))
-    for k in range(bw + 1):
-        ab[bw - k, k:] = mat.diagonal(k)
-    return ab
 
 
 def build_for_system(system, mode: str, rho: float, inner: int = 15) -> Preconditioner:
@@ -100,32 +71,32 @@ def build_for_system(system, mode: str, rho: float, inner: int = 15) -> Precondi
         def apply_approx(r):
             return pcg_solve(n_action, r, None, eta=0.0, cap=inner).solution
 
-        return Preconditioner("truncated_cg", rho, apply_approx, inner=inner,
-                              ntilde_matvec=n_action)
+        return Preconditioner("truncated_cg", rho, apply_approx, inner=inner)
 
     if mode == "exact_banded":
-        s = _assemble_sym_curvature(system)
-        n = s.shape[0]
-        eye = sp.identity(n, format="csr")
+        band = system.obj.W.curvature_band
+        if band is None:
+            raise ValueError("exact banded preconditioning needs a dictionary "
+                             "with a curvature band kernel (2D gradient or dense)")
         rho_eff = rho
-        rebuilds = 0
-        for _ in range(_MAX_SHIFT_DOUBLINGS):
+        for rebuilds in range(_MAX_SHIFT_DOUBLINGS):
+            # the factor overwrites the band, so each shift starts afresh
+            ab = band(system.d1, system.d4, system.d23)
+            ab *= c
+            ab[-1] += rho_eff
             try:
-                cb = cholesky_banded(_banded_upper(c * s + rho_eff * eye), lower=False)
+                cb = cholesky_banded(ab, overwrite_ab=True, lower=False)
                 break
             except np.linalg.LinAlgError:
                 rho_eff *= 2.0
-                rebuilds += 1
         else:
             raise np.linalg.LinAlgError("banded factorization failed at every shift")
 
-        nt = (c * s + rho_eff * eye).tocsr()
         return Preconditioner(
             "exact_banded",
             rho_eff,
-            lambda r: cho_solve_banded((cb, False), r),
+            lambda r: cho_solve_banded((cb, False), r, check_finite=False),
             rebuilds=rebuilds,
-            ntilde_matvec=lambda v: nt @ v,
         )
 
     raise ValueError(f"unknown preconditioner mode {mode!r}")

@@ -75,8 +75,6 @@ class SolverConfig:
     pcg_cap: int = 200
     audit: bool = False
     snapshot_every: int = 0
-    c_target: Optional[float] = None
-    mu_target: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 <= self.eta < 1.0:

@@ -36,6 +36,31 @@ def test_pgm_comment_handling(tmp_path):
     np.testing.assert_allclose(img.ravel() * 255, np.arange(6), atol=1e-12)
 
 
+def test_pgm_16bit_big_endian(tmp_path):
+    path = tmp_path / "deep.pgm"
+    samples = np.array([[0, 255, 256], [1000, 40000, 65535]], dtype=">u2")
+    path.write_bytes(b"P5\n3 2\n65535\n" + samples.tobytes())
+    img = cli.read_pgm(path)
+    np.testing.assert_array_equal(img, samples.astype(np.float64) / 65535.0)
+
+
+@pytest.mark.parametrize("maxval", [0, 65536])
+def test_pgm_rejects_maxval_out_of_range(tmp_path, maxval):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n2 1\n%d\n" % maxval + bytes(4))
+    with pytest.raises(ValueError, match="bad.pgm.*maxval"):
+        cli.read_pgm(path)
+
+
+@pytest.mark.parametrize("maxval,payload", [(255, 5), (1023, 11)])
+def test_pgm_rejects_truncated_payload(tmp_path, maxval, payload):
+    # 3x2 image: 6 bytes at 8 bits, 12 bytes at 16 bits
+    path = tmp_path / "short.pgm"
+    path.write_bytes(b"P5\n3 2\n%d\n" % maxval + bytes(payload))
+    with pytest.raises(ValueError, match="short.pgm.*truncated"):
+        cli.read_pgm(path)
+
+
 # ---------------------------------------------------------------------------
 # phantom command
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.fft import dctn
+import scipy.sparse as sp
+from scipy.fft import dctn, idctn
 from scipy.linalg import hadamard
 
 from csnewton.linops import (
@@ -14,6 +15,16 @@ from csnewton.linops import (
     make_partial_walsh01,
     to_dense,
 )
+
+
+def band_to_dense(ab):
+    """Symmetric matrix from LAPACK upper-band storage."""
+    u, n = ab.shape[0] - 1, ab.shape[1]
+    s = np.zeros((n, n))
+    for k in range(u + 1):
+        s[np.arange(n - k), np.arange(k, n)] = ab[u - k, k:]
+        s[np.arange(k, n), np.arange(n - k)] = ab[u - k, k:]
+    return s
 
 
 def assert_adjoint_consistent(op, rng, pairs=100, rtol=1e-10):
@@ -78,14 +89,83 @@ def test_gradient2d_dense_rank_deficiency(n1, n2):
     assert np.linalg.matrix_rank(dense) == n1 * n2 - 1
 
 
-def test_gradient2d_adjoint_and_sparse_parts():
+@pytest.mark.parametrize("n1,n2", [(2, 2), (2, 5), (4, 6), (7, 3)])
+def test_gradient2d_adjoint_and_curvature_band(n1, n2):
     rng = np.random.default_rng(0)
-    W = make_gradient2d(4, 6)
+    W = make_gradient2d(n1, n2)
     assert_adjoint_consistent(W, rng)
-    rw, iw = W.re_im_parts
+    n = n1 * n2
+    d1, d4, d23 = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n), rng.uniform(-1.0, 1.0, n)
+    ab = W.curvature_band(d1, d4, d23)
+    assert ab.shape == (n1 + 1, n) and ab.flags.f_contiguous
+    # bit for bit the band of the sparse sum of the four products of
+    # S = Dh^T d1 Dh + Dv^T d4 Dv + Dh^T d23 Dv + Dv^T d23 Dh, W = Dh^T - i Dv^T
     dense = to_dense(W)
-    np.testing.assert_allclose(rw.toarray(), dense.real, atol=1e-14)
-    np.testing.assert_allclose(iw.toarray(), dense.imag, atol=1e-14)
+    dh = sp.csr_matrix(dense.real.T)
+    dv = sp.csr_matrix(-dense.imag.T)
+    s = (dh.T @ sp.diags(d1) @ dh + dv.T @ sp.diags(d4) @ dv
+         + dh.T @ sp.diags(d23) @ dv + dv.T @ sp.diags(d23) @ dh)
+    for k in range(n1 + 1):
+        assert ab[n1 - k, k:].tobytes() == s.diagonal(k).tobytes()
+
+
+def _grad_channels_fortran(x, n1, n2):
+    im = x.reshape((n1, n2), order="F")
+    h = np.zeros((n1, n2))
+    v = np.zeros((n1, n2))
+    np.subtract(im[:, 1:], im[:, :-1], out=h[:, :-1])
+    np.subtract(im[1:, :], im[:-1, :], out=v[:-1, :])
+    return h.ravel(order="F"), v.ravel(order="F")
+
+
+def _complex(re, im):
+    out = np.empty(re.size, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _grad_synth_fortran(p, q, n1, n2):
+    P = p.reshape((n1, n2), order="F")
+    Q = q.reshape((n1, n2), order="F")
+    out = np.zeros((n1, n2))
+    out[:, :-1] -= P[:, :-1]
+    out[:, 1:] += P[:, :-1]
+    out[:-1, :] -= Q[:-1, :]
+    out[1:, :] += Q[:-1, :]
+    return out.ravel(order="F")
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (4, 8), (8, 4), (16, 2)])
+def test_flat_kernels_match_fortran_reference_bitwise(n1, n2):
+    # reference: the same stencils on the (n1, n2) image in Fortran order
+    rng = np.random.default_rng(n1 * 31 + n2)
+    n = n1 * n2
+    x, p, q = (rng.standard_normal(n) for _ in range(3))
+    for v in (x, p, q):
+        v[::3] = -0.0
+        v[1::5] = 0.0
+    bits = lambda a: np.asarray(a).tobytes()  # noqa: E731
+    W = make_gradient2d(n1, n2)
+    h, v = _grad_channels_fortran(x, n1, n2)
+    assert bits(W.adjoint_apply(x)) == bits(_complex(h, v))
+    for got, want in zip(W.fast_analysis_parts(x), (h, v)):
+        assert bits(got) == bits(want)
+    assert bits(W.fast_synth_real(p, q)) == bits(_grad_synth_fortran(p, q, n1, n2))
+    z = _complex(p, q)
+    re = _grad_synth_fortran(p, q, n1, n2)
+    im = _grad_synth_fortran(q, -p, n1, n2)
+    assert bits(W.apply(z)) == bits(_complex(re, im))
+
+    mask = make_mask(n, n // 2, seed=1)
+    A = make_partial_dct2(n1, n2, mask)
+    idx = mask.selected_indices
+    want = dctn(x.reshape((n1, n2), order="F"), norm="ortho").ravel(order="F")[idx]
+    assert bits(A.apply(x)) == bits(want)
+    full = np.zeros(n)
+    full[idx] = x[: idx.size]
+    want = idctn(full.reshape((n1, n2), order="F"), norm="ortho").ravel(order="F")
+    assert bits(A.adjoint_apply(x[: idx.size])) == bits(want)
 
 
 def test_gradient2d_rejects_small_dims():
@@ -108,9 +188,9 @@ def test_partial_dct2_full_mask_isometry():
     assert estimate_delta(A, 20) <= 1e-12
 
 
-def test_partial_dct2_matches_dense_row_selection():
+@pytest.mark.parametrize("n1,n2", [(8, 8), (8, 4), (4, 16)])
+def test_partial_dct2_matches_dense_row_selection(n1, n2):
     rng = np.random.default_rng(2)
-    n1, n2 = 8, 8
     n = n1 * n2
     mask = make_mask(n, n // 4, seed=5)
     A = make_partial_dct2(n1, n2, mask)

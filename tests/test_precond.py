@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_linops import band_to_dense
 
 from csnewton.linops import make_dense_dictionary, make_gradient2d
 from csnewton.precond import build_for_system, build_preconditioner, spectrum_report
@@ -21,15 +22,62 @@ def itv_system(n1=4, n2=4, mu=1e-2, c=0.1, seed=0, x=None, g=None):
     return obj, NewtonSystem(obj, x, np.real(g), np.imag(g))
 
 
-def dense_ntilde(system, rho):
-    n = system.obj.n
-    nd = np.empty((n, n))
+def dense_system(field, seed=0, n=12, l=16, mu=1e-2, c=0.1):
+    # wide dense dictionary with a dense measurement operator
+    rng = np.random.default_rng(seed)
+    entries = rng.standard_normal((n, l))
+    if field == "complex":
+        entries = entries + 1j * rng.standard_normal((n, l))
+    W = make_dense_dictionary(entries, field=field)
+    A = make_dense_dictionary(rng.standard_normal((n // 2, n)) / np.sqrt(n))
+    obj = SmoothedObjective(c=c, mu=mu, A=A, W=W, b=rng.standard_normal(n // 2))
+    g = project_linf(rng.standard_normal(l) + 1j * rng.standard_normal(l))
+    return obj, NewtonSystem(obj, rng.standard_normal(n), np.real(g), np.imag(g))
+
+
+ORACLE_SYSTEMS = {
+    "grad8x4": lambda: itv_system(n1=8, n2=4),
+    "grad4x8": lambda: itv_system(n1=4, n2=8),
+    "grad16x8": lambda: itv_system(n1=16, n2=8, mu=1e-3),
+    "dense_real": lambda: dense_system("real"),
+    "dense_complex": lambda: dense_system("complex"),
+}
+
+
+def dense_columns(action, n):
+    out = np.empty((n, n))
     e = np.zeros(n)
     for j in range(n):
         e[j] = 1.0
-        nd[:, j] = system.ntilde_matvec(e, rho)
+        out[:, j] = action(e)
         e[j] = 0.0
-    return nd
+    return out
+
+
+def dense_ntilde(system, rho):
+    return dense_columns(lambda v: system.ntilde_matvec(v, rho), system.obj.n)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_SYSTEMS))
+def test_curvature_band_matches_matrix_free_oracle(kind):
+    obj, system = ORACLE_SYSTEMS[kind]()
+    ab = obj.W.curvature_band(system.d1, system.d4, system.d23)
+    oracle = dense_columns(system.symb_matvec, obj.n)
+    scale = np.max(np.abs(oracle))
+    np.testing.assert_allclose(band_to_dense(ab), oracle, rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_SYSTEMS))
+def test_exact_banded_matches_matrix_free_oracle(kind):
+    obj, system = ORACLE_SYSTEMS[kind]()
+    pre = build_for_system(system, "exact_banded", rho=0.5)
+    nd = dense_ntilde(system, pre.rho)
+    rng = np.random.default_rng(10)
+    for _ in range(5):
+        r = rng.standard_normal(obj.n)
+        z = pre.action(r)
+        np.testing.assert_allclose(z, np.linalg.solve(nd, r), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(nd @ z, r, rtol=1e-10, atol=1e-10)
 
 
 def test_exact_banded_matches_dense_solve():
@@ -48,7 +96,8 @@ def test_exact_banded_apply_then_multiply_is_identity():
     rng = np.random.default_rng(2)
     for _ in range(5):
         r = rng.standard_normal(obj.n)
-        np.testing.assert_allclose(pre.ntilde_matvec(pre.action(r)), r, rtol=1e-10, atol=1e-12)
+        back = system.ntilde_matvec(pre.action(r), pre.rho)
+        np.testing.assert_allclose(back, r, rtol=1e-10, atol=1e-12)
 
 
 def test_truncated_cg_dominant_shift_limit():
@@ -59,7 +108,7 @@ def test_truncated_cg_dominant_shift_limit():
     assert pre.inner == 15
     rng = np.random.default_rng(3)
     r = rng.standard_normal(obj.n)
-    back = pre.ntilde_matvec(pre.action(r))
+    back = system.ntilde_matvec(pre.action(r), pre.rho)
     assert np.linalg.norm(back - r) <= 1e-4 * np.linalg.norm(r)
 
 
@@ -90,7 +139,8 @@ def test_factorization_breakdown_doubles_shift():
     assert pre.rebuilds >= 1
     assert pre.rho > 1e-8
     r = np.random.default_rng(5).standard_normal(obj.n)
-    np.testing.assert_allclose(pre.ntilde_matvec(pre.action(r)), r, rtol=1e-8, atol=1e-10)
+    back = system.ntilde_matvec(pre.action(r), pre.rho)
+    np.testing.assert_allclose(back, r, rtol=1e-8, atol=1e-10)
 
 
 def test_build_preconditioner_state_entry_point():
@@ -99,8 +149,10 @@ def test_build_preconditioner_state_entry_point():
     config = SolverConfig(precond_mode="exact_banded")
     pre = build_preconditioner(state, obj, config)
     assert pre.mode == "exact_banded"
+    system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
     r = np.random.default_rng(6).standard_normal(obj.n)
-    np.testing.assert_allclose(pre.ntilde_matvec(pre.action(r)), r, rtol=1e-10, atol=1e-12)
+    back = system.ntilde_matvec(pre.action(r), pre.rho)
+    np.testing.assert_allclose(back, r, rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
