@@ -13,7 +13,7 @@ from .linops import (
     make_partial_dct2,
     make_partial_walsh01,
 )
-from .precond import Preconditioner, SpectrumReport, build_preconditioner, spectrum_report
+from .precond import Preconditioner, SpectrumReport, spectrum_report
 from .problems import (
     ProblemInstance,
     add_noise_to_psnr,
@@ -26,8 +26,6 @@ from .smoothing import (
     SmoothedObjective,
     build_D,
     grad_psi,
-    hess_f_matvec,
-    hess_psi_matvec,
     huber_value,
     objective_grad,
     objective_value,
@@ -36,8 +34,6 @@ from .solver import (
     IterationRecord,
     SolverConfig,
     SolverState,
-    bhat_matvec,
-    dual_step,
     fresh_state,
     line_search,
     project_linf,

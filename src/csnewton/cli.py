@@ -18,7 +18,6 @@ import csv
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List
 
@@ -28,9 +27,9 @@ from . import diagnostics
 from .continuation import make_schedule, run_continuation
 from .linops import make_dense_dictionary, make_gradient2d
 from .precond import spectrum_report
-from .problems import add_noise_to_psnr, make_itv_instance, psnr, relative_error, shepp_logan
+from .problems import ProblemInstance, make_itv_instance, psnr, relative_error, shepp_logan
 from .smoothing import SmoothedObjective
-from .solver import SolverConfig, SolverState, fresh_state, solve_subproblem
+from .solver import SolverConfig, solve_subproblem
 
 TRACE_COLUMNS = ["stage", "iter", "f", "grad_norm", "pcg_iters", "alpha", "backtracks", "time_s"]
 
@@ -63,13 +62,21 @@ def read_pgm(path) -> np.ndarray:
             while pos < len(raw) and raw[pos : pos + 1] != b"\n":
                 pos += 1
             continue
+        if pos >= len(raw):
+            raise ValueError(f"{path}: PGM header ends after {len(tokens)} of 4 fields")
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         tokens.append(raw[start:pos])
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (P5) file")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise ValueError(f"{path}: PGM width, height and maxval must be integers, "
+                         f"got {tokens[1:]}") from None
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: PGM width and height must be positive, got {w}x{h}")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: PGM maxval must lie in 1..65535, got {maxval}")
     pos += 1  # single whitespace byte after maxval
@@ -175,12 +182,8 @@ def _build_problem(cfg):
     A = make_dense_dictionary(rng.standard_normal((m, n)) / math.sqrt(n), field="real")
     x_true = rng.standard_normal(n)
     b = A.apply(x_true)
-    from .problems import ProblemInstance
-    from .linops import SamplingMask
-
     inst = ProblemInstance(
-        A=A, W=W, b=b, ground_truth=x_true, noise=None, seed=cfg["seed"],
-        n1=n, n2=1, mask=SamplingMask(np.arange(m), cfg["seed"]),
+        A=A, W=W, b=b, ground_truth=x_true, noise=None, seed=cfg["seed"], n1=n, n2=1,
     )
     return inst, None
 
@@ -281,7 +284,7 @@ def _cmd_spectrum(args) -> int:
         return 2
     nu = args.nu if args.nu is not None else cfg.get("nu", 0.5 / cfg["mu"])
     try:
-        inst, _, obj, state, _ = _run_solve(cfg, snapshot_every=args.every)
+        _, _, _, state, _ = _run_solve(cfg, snapshot_every=args.every)
     except Exception as exc:
         print(f"error: solve aborted: {exc}", file=sys.stderr)
         return 2
@@ -291,9 +294,7 @@ def _cmd_spectrum(args) -> int:
         writer.writerow(["system", "stage", "iter", "index", "raw_lambda", "precond_lambda",
                          "sigma", "delta", "chi", "bound", "bound_kernel"])
         for sys_idx, snap in enumerate(state.snapshots):
-            obj_snap = replace(obj, c=snap.c, mu=snap.mu)
-            snap_state = SolverState(x=snap.x, g_re=snap.g_re, g_im=snap.g_im)
-            rep = spectrum_report(snap_state, obj_snap, cfg["rho"], nu)
+            rep = spectrum_report(snap.system, cfg["rho"], nu)
             for i, (raw, pre) in enumerate(zip(rep.raw_eigs, rep.precond_eigs)):
                 writer.writerow(
                     [sys_idx, snap.stage, snap.outer_iter, i, f"{raw:.10e}", f"{pre:.10e}",

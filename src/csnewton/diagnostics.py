@@ -12,8 +12,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .smoothing import SmoothedObjective, fd_step, hess_f_matvec, objective_grad, objective_value
-from .solver import IterationRecord
+from .smoothing import SmoothedObjective, fd_step, objective_grad, objective_value
+from .solver import IterationRecord, NewtonSystem
 
 __all__ = [
     "DerivativeReport",
@@ -47,7 +47,10 @@ class DerivativeReport:
 
 def check_derivatives(obj: SmoothedObjective, trials: int = 50, seed: int = 0) -> DerivativeReport:
     """Compare the analytic gradient and Hessian action against central
-    finite differences at random points along random unit directions."""
+    finite differences at random points along random unit directions.
+
+    The Hessian action is the solver's own Newton matrix Bhat at the
+    central duals, so the check covers the matrix that PCG solves with."""
     n = obj.n
     if n > 256:
         raise ValueError("derivative checks are meant for small instances (n <= 256)")
@@ -65,7 +68,7 @@ def check_derivatives(obj: SmoothedObjective, trials: int = 50, seed: int = 0) -
         grad_err = max(grad_err, abs(fd_dir - g_dir) / max(1.0, abs(fd_dir)))
 
         fd_hv = (objective_grad(obj, x + h * v) - objective_grad(obj, x - h * v)) / (2 * h)
-        hv = hess_f_matvec(obj, x, v)
+        hv = NewtonSystem.at_central_duals(obj, x).bhat_matvec(v)
         hess_err = max(
             hess_err,
             float(np.linalg.norm(fd_hv - hv)) / max(1.0, float(np.linalg.norm(fd_hv))),

@@ -30,11 +30,9 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, eigvalsh
 
 from .krylov import pcg_solve
 from .linops import estimate_delta, to_dense
-from .smoothing import SmoothedObjective
 
 __all__ = [
     "Preconditioner",
-    "build_preconditioner",
     "build_for_system",
     "SpectrumReport",
     "spectrum_report",
@@ -56,9 +54,8 @@ class Preconditioner:
 
 
 def build_for_system(system, mode: str, rho: float, inner: int = 15) -> Preconditioner:
-    """Build the preconditioner for one Newton system (duck-typed system
-    from the solver module; see :func:`build_preconditioner` for the
-    state-level entry point)."""
+    """Build the preconditioner for one Newton system (duck-typed
+    ``NewtonSystem`` from the solver module)."""
     if mode == "none":
         return Preconditioner("none", rho, None)
 
@@ -102,14 +99,6 @@ def build_for_system(system, mode: str, rho: float, inner: int = 15) -> Precondi
     raise ValueError(f"unknown preconditioner mode {mode!r}")
 
 
-def build_preconditioner(state, obj: SmoothedObjective, config) -> Preconditioner:
-    """Preconditioner at the state's current primal-dual point."""
-    from .solver import NewtonSystem
-
-    system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
-    return build_for_system(system, config.precond_mode, config.rho, config.precond_inner)
-
-
 # ---------------------------------------------------------------------------
 # Spectral diagnostics
 # ---------------------------------------------------------------------------
@@ -141,16 +130,15 @@ def theorem_bound(chi: float, denom: float) -> float:
     return 0.5 * (chi + 1.0 + np.sqrt(5.0 * chi**2 - 2.0 * chi + 1.0)) / denom
 
 
-def spectrum_report(state, obj: SmoothedObjective, rho: float, nu: float) -> SpectrumReport:
-    """Eigenvalues of Bhat and of its preconditioned form, plus the
-    clustering-bound ingredients, all computed densely (n <= 4096)."""
-    from .solver import NewtonSystem
-
+def spectrum_report(system, rho: float, nu: float) -> SpectrumReport:
+    """Eigenvalues of one Newton system's Bhat and of its preconditioned
+    form, plus the clustering-bound ingredients, all computed densely
+    (n <= 4096)."""
+    obj = system.obj
     n = obj.n
     if n > 4096:
         raise ValueError(f"dense spectrum limited to n <= 4096, got {n}")
 
-    system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
     bd = np.empty((n, n))
     nd = np.empty((n, n))
     e = np.zeros(n)

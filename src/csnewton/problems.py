@@ -48,7 +48,7 @@ class ProblemInstance:
     seed: int
     n1: int
     n2: int
-    mask: SamplingMask
+    mask: Optional[SamplingMask] = None
 
 
 def shepp_logan(n1: int, n2: int) -> np.ndarray:

@@ -5,17 +5,10 @@ The nonsmooth term c*||W* x||_1 is replaced by the smooth
     psi_mu(W* x) = sum_i ( sqrt(mu^2 + |(W* x)_i|^2) - mu ),
 
 which approaches the l1-norm as mu -> 0 and never undershoots it by more
-than l*mu.  Everything here is matrix-free: Hessians are exposed only as
-actions, with intermediates living in the dictionary domain so that wide
-dictionaries (l >> n) cost nothing extra.
-
-For a complex dictionary the Hessian action uses the compact form
-
-    H v = 1/2 Re( W (Yhat u + Ytil conj(u)) ),   u = W* v,
-
-with diagonal weights Yhat_i = mu^2 D_i^3 + D_i and Ytil_i = -y_i^2 D_i^3
-(the complex square, not the squared modulus).  When the dictionary is
-real the imaginary channel drops analytically and H = W (mu^2 D^3) W^T.
+than l*mu.  Everything here is matrix-free, with intermediates living in
+the dictionary domain so that wide dictionaries (l >> n) cost nothing
+extra.  The Hessian action is the primal-dual Newton matrix at the
+central duals, ``solver.NewtonSystem.at_central_duals``.
 """
 
 from __future__ import annotations
@@ -28,14 +21,11 @@ from .linops import LinearOperator, synth_real
 
 __all__ = [
     "SmoothedObjective",
-    "HuberDiagonal",
     "huber_value",
     "build_D",
     "grad_psi",
-    "hess_psi_matvec",
     "objective_value",
     "objective_grad",
-    "hess_f_matvec",
     "fd_step",
 ]
 
@@ -69,13 +59,6 @@ class SmoothedObjective:
         return self.A.cols
 
 
-@dataclass(frozen=True)
-class HuberDiagonal:
-    """Positive diagonal D_i = (mu^2 + |y_i|^2)^(-1/2); all entries <= 1/mu."""
-
-    values: np.ndarray
-
-
 def huber_value(y: np.ndarray, mu: float) -> float:
     """Sum of sqrt(mu^2 + |y_i|^2) - mu over the dictionary domain."""
     if mu <= 0:
@@ -84,34 +67,22 @@ def huber_value(y: np.ndarray, mu: float) -> float:
     return float(np.sum(np.sqrt(mu * mu + np.abs(y) ** 2) - mu))
 
 
-def build_D(y: np.ndarray, mu: float) -> HuberDiagonal:
+def build_D(y: np.ndarray, mu: float) -> np.ndarray:
+    """Positive diagonal D_i = (mu^2 + |y_i|^2)^(-1/2); all entries <= 1/mu."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     y = np.asarray(y)
-    return HuberDiagonal(1.0 / np.sqrt(mu * mu + np.abs(y) ** 2))
+    return 1.0 / np.sqrt(mu * mu + np.abs(y) ** 2)
 
 
 def grad_psi(x: np.ndarray, W: LinearOperator, mu: float) -> np.ndarray:
     """Gradient of the smoothed analysis term at x, always a real vector."""
     y = W.adjoint_apply(x)
-    d = build_D(y, mu).values
+    d = build_D(y, mu)
     if np.iscomplexobj(y):
         return synth_real(W, d * y.real, d * y.imag)
     g = W.apply(d * y)
     return np.real(g) if np.iscomplexobj(g) else g
-
-
-def hess_psi_matvec(x: np.ndarray, v: np.ndarray, W: LinearOperator, mu: float) -> np.ndarray:
-    """Action of the smoothed-term Hessian at x on a real direction v."""
-    y = W.adjoint_apply(x)
-    d = build_D(y, mu).values
-    u = W.adjoint_apply(v)
-    if W.field == "real":
-        return W.apply((mu * mu) * d**3 * u)
-    yhat = (mu * mu) * d**3 + d
-    ytil = -(y * y) * d**3
-    z = yhat * u + ytil * np.conj(u)
-    return 0.5 * synth_real(W, np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag))
 
 
 def objective_value(obj: SmoothedObjective, x: np.ndarray) -> float:
@@ -122,10 +93,6 @@ def objective_value(obj: SmoothedObjective, x: np.ndarray) -> float:
 def objective_grad(obj: SmoothedObjective, x: np.ndarray) -> np.ndarray:
     r = obj.A.apply(x) - obj.b
     return obj.c * grad_psi(x, obj.W, obj.mu) + obj.A.adjoint_apply(r)
-
-
-def hess_f_matvec(obj: SmoothedObjective, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return obj.c * hess_psi_matvec(x, v, obj.W, obj.mu) + obj.A.adjoint_apply(obj.A.apply(v))
 
 
 def fd_step(x: np.ndarray) -> float:

@@ -21,7 +21,9 @@ are the exact linearization of the optimality conditions in these
 channels (cross couplings enter with a minus sign); correctness is
 pinned by the requirement that, with the duals at their central values
 D*Re(W* x) and D*Im(W* x), the symmetrized matrix reproduces the true
-Hessian of the smoothed objective.
+Hessian of the smoothed objective.  ``NewtonSystem.at_central_duals``
+builds that system, and ``csnewton check --suite derivatives`` compares
+its action with finite differences of the gradient.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ __all__ = [
     "LineSearchResult",
     "NegativeCurvatureError",
     "NewtonSystem",
-    "bhat_matvec",
-    "dual_step",
     "project_linf",
     "line_search",
     "solve_subproblem",
@@ -93,6 +93,14 @@ class SolverConfig:
             raise ValueError(f"unknown eta_schedule {self.eta_schedule!r}")
         if self.precond_inner < 1:
             raise ValueError("precond_inner must be >= 1")
+        if self.pcg_cap < 1:
+            raise ValueError("pcg_cap must be >= 1")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
+        if self.grad_tol < 0.0:
+            raise ValueError("grad_tol must be nonnegative")
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be nonnegative")
 
 
 @dataclass
@@ -118,13 +126,12 @@ class IterationRecord:
 
 @dataclass
 class SystemSnapshot:
+    """The Newton system one outer iteration built; the loop rebinds x and
+    the duals and never writes into them, so the system stays valid."""
+
     stage: int
     outer_iter: int
-    x: np.ndarray
-    g_re: np.ndarray
-    g_im: np.ndarray
-    c: float
-    mu: float
+    system: NewtonSystem
 
 
 @dataclass
@@ -145,7 +152,6 @@ class SolverState:
     x: np.ndarray
     g_re: np.ndarray
     g_im: np.ndarray
-    grad: Optional[np.ndarray] = None
     outer_iter: int = 0
     trace: List[IterationRecord] = field(default_factory=list)
     snapshots: List[SystemSnapshot] = field(default_factory=list)
@@ -175,10 +181,10 @@ def project_linf(u: np.ndarray) -> np.ndarray:
 class NewtonSystem:
     """Matrix-free actions of one primal-dual Newton system.
 
-    Freezes the diagonal data (D and the four coupling diagonals) at a
-    given (x, g_re, g_im), then exposes the symmetrized curvature action,
-    the full Bhat action, the shifted preconditioner target action and
-    the affine dual step.
+    Freezes the diagonal data (D, the two cross couplings and the three
+    diagonals of sym(Bt)) at a given (x, g_re, g_im), then exposes the
+    symmetrized curvature action, the full Bhat action, the shifted
+    preconditioner target action and the affine dual step.
     """
 
     def __init__(self, obj: SmoothedObjective, x: np.ndarray, g_re: np.ndarray, g_im: np.ndarray):
@@ -188,27 +194,29 @@ class NewtonSystem:
         self.g_im = np.asarray(g_im, dtype=np.float64)
         W = obj.W
         self.y = W.adjoint_apply(x)
-        self.d = build_D(self.y, obj.mu).values
+        self.d = build_D(self.y, obj.mu)
         self.rx = np.real(self.y)
         self.ix = np.imag(self.y) if np.iscomplexobj(self.y) else np.zeros_like(self.rx)
-        b1 = self.d * self.g_re * self.rx
-        b2 = self.d * self.g_re * self.ix
-        b3 = self.d * self.g_im * self.rx
-        b4 = self.d * self.g_im * self.ix
-        self.b1, self.b2, self.b3, self.b4 = b1, b2, b3, b4
+        self.b2 = self.d * self.g_re * self.ix
+        self.b3 = self.d * self.g_im * self.rx
         # diagonals of the symmetric part: D(I-B1), D(I-B4), -D(B2+B3)/2
-        self.d1 = self.d * (1.0 - b1)
-        self.d4 = self.d * (1.0 - b4)
-        self.d23 = -0.5 * self.d * (b2 + b3)
+        self.d1 = self.d * (1.0 - self.d * self.g_re * self.rx)
+        self.d4 = self.d * (1.0 - self.d * self.g_im * self.ix)
+        self.d23 = -0.5 * self.d * (self.b2 + self.b3)
         self._real_w = W.field == "real"
 
-    def _analysis_channels(self, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return analysis_parts(self.obj.W, v)
+    @classmethod
+    def at_central_duals(cls, obj: SmoothedObjective, x: np.ndarray) -> NewtonSystem:
+        """The system at the central duals D*W* x, where sym(Bt) = Bt and
+        Bhat is the exact Hessian of the smoothed objective at x."""
+        y = obj.W.adjoint_apply(x)
+        d = build_D(y, obj.mu)
+        return cls(obj, x, d * np.real(y), d * np.imag(y))
 
     def symb_matvec(self, v: np.ndarray) -> np.ndarray:
         """Action of sym(Bt), the symmetrized dual-coupled curvature."""
         W = self.obj.W
-        rv, iv = self._analysis_channels(v)
+        rv, iv = analysis_parts(W, v)
         if self._real_w:
             return np.real(W.apply(self.d1 * rv))
         p = self.d1 * rv + self.d23 * iv
@@ -225,19 +233,11 @@ class NewtonSystem:
 
     def dual_step(self, dx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Affine dual increments for a given primal direction."""
-        rdx, idx = self._analysis_channels(dx)
+        rdx, idx = analysis_parts(self.obj.W, dx)
         d = self.d
-        dg_re = d * (1.0 - self.b1) * rdx - d * self.b2 * idx - self.g_re + d * self.rx
-        dg_im = d * (1.0 - self.b4) * idx - d * self.b3 * rdx - self.g_im + d * self.ix
+        dg_re = self.d1 * rdx - d * self.b2 * idx - self.g_re + d * self.rx
+        dg_im = self.d4 * idx - d * self.b3 * rdx - self.g_im + d * self.ix
         return dg_re, dg_im
-
-
-def bhat_matvec(state: SolverState, obj: SmoothedObjective, v: np.ndarray) -> np.ndarray:
-    return NewtonSystem(obj, state.x, state.g_re, state.g_im).bhat_matvec(v)
-
-
-def dual_step(state: SolverState, obj: SmoothedObjective, dx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return NewtonSystem(obj, state.x, state.g_re, state.g_im).dual_step(dx)
 
 
 @dataclass
@@ -251,27 +251,24 @@ class LineSearchResult:
 def line_search(
     obj: SmoothedObjective,
     x: np.ndarray,
+    y: np.ndarray,
     dx: np.ndarray,
     energy: float,
     tau1: float,
     tau2: float,
     max_backtracks: int,
-    _parts: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> LineSearchResult:
     """Least j >= 0 with f(x + tau1^j dx) <= f(x) - tau2 tau1^j energy.
 
-    ``energy`` is the quadratic form dx^T Bhat dx (not its square root).
-    The sufficient-decrease test is evaluated from cached transforms of x
-    and dx, so each trial costs O(l + m) flops and no operator calls.
+    ``y`` is the cached analysis W* x and ``energy`` the quadratic form
+    dx^T Bhat dx (not its square root).  After one W* and two A actions
+    the sufficient-decrease test is evaluated from the transforms of x and
+    dx, so each trial costs O(l + m) flops and no operator calls.
     Exhaustion returns the smallest trial step with ``accepted=False``.
     """
-    if _parts is None:
-        y = obj.W.adjoint_apply(x)
-        ydx = obj.W.adjoint_apply(dx)
-        r = obj.A.apply(x) - obj.b
-        rdx = obj.A.apply(dx)
-    else:
-        y, ydx, r, rdx = _parts
+    ydx = obj.W.adjoint_apply(dx)
+    r = obj.A.apply(x) - obj.b
+    rdx = obj.A.apply(dx)
 
     def value(a: float) -> float:
         res = r + a * rdx
@@ -316,7 +313,6 @@ def solve_subproblem(
 
     counters = state.counters
     grad, gnorm = _grad_and_norm(obj, state.x, counters)
-    state.grad = grad
     tol = config.grad_tol * max(1.0, gnorm)
     state.converged = gnorm <= tol
 
@@ -328,10 +324,7 @@ def solve_subproblem(
         gnorm_in = gnorm
         system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
         if config.snapshot_every > 0 and state.outer_iter % config.snapshot_every == 0:
-            state.snapshots.append(
-                SystemSnapshot(stage, state.outer_iter, state.x.copy(),
-                               state.g_re.copy(), state.g_im.copy(), obj.c, obj.mu)
-            )
+            state.snapshots.append(SystemSnapshot(stage, state.outer_iter, system))
         pre = build_for_system(system, config.precond_mode, config.rho, config.precond_inner)
         eta_k = config.eta
         if config.eta_schedule == "decreasing":
@@ -339,9 +332,9 @@ def solve_subproblem(
 
         outcome = pcg_solve(system.bhat_matvec, -grad, pre.action, eta_k, config.pcg_cap)
         counters.pcg_iters += outcome.iterations
-        if pre.mode == "truncated_cg":
-            # one inner CG sweep per preconditioned residual (iterations + initial)
-            counters.precond_inner_iters += pre.inner * (outcome.iterations + 1)
+        # one inner CG sweep per preconditioned residual (iterations + initial);
+        # pre.inner is 0 unless the preconditioner runs truncated CG
+        counters.precond_inner_iters += pre.inner * (outcome.iterations + 1)
         if outcome.negative_curvature:
             raise NegativeCurvatureError(
                 f"nonpositive curvature in PCG at outer iteration {state.outer_iter}"
@@ -363,14 +356,9 @@ def solve_subproblem(
         state.g_re, state.g_im = np.real(g_new), np.imag(g_new)
         dual_box = float(np.max(np.abs(g_new))) if g_new.size else 0.0
 
-        y = system.y
-        ydx = obj.W.adjoint_apply(dx)
-        r = obj.A.apply(state.x) - obj.b
-        rdx = obj.A.apply(dx)
         counters.obj_evals += 1
         ls = line_search(
-            obj, state.x, dx, energy, config.tau1, config.tau2,
-            config.max_backtracks, _parts=(y, ydx, r, rdx),
+            obj, state.x, system.y, dx, energy, config.tau1, config.tau2, config.max_backtracks
         )
         counters.obj_evals += ls.backtracks + 1
         if not ls.accepted and energy_explicit is None:
@@ -380,7 +368,6 @@ def solve_subproblem(
 
         state.x = state.x + ls.alpha * dx
         grad, gnorm = _grad_and_norm(obj, state.x, counters)
-        state.grad = grad
         state.outer_iter += 1
         state.trace.append(
             IterationRecord(

@@ -61,6 +61,20 @@ def test_pgm_rejects_truncated_payload(tmp_path, maxval, payload):
         cli.read_pgm(path)
 
 
+@pytest.mark.parametrize("content,reason", [
+    (b"P5\n-3 4\n255\n" + bytes(12), "positive"),
+    (b"P5\n0 4\n255\n", "positive"),
+    (b"P5\n4", "header ends"),
+    (b"", "header ends"),
+    (b"P5\n4 x\n255\n" + bytes(16), "integers"),
+])
+def test_pgm_rejects_bad_header(tmp_path, content, reason):
+    path = tmp_path / "head.pgm"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=f"head.pgm.*{reason}"):
+        cli.read_pgm(path)
+
+
 # ---------------------------------------------------------------------------
 # phantom command
 # ---------------------------------------------------------------------------
@@ -134,6 +148,23 @@ def test_solve_rejects_unknown_key(tmp_path):
     assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
     assert not (out_dir / "reconstruction.pgm").exists()
     assert not (out_dir / "trace.csv").exists()
+
+
+def test_solve_l1_dense_problem(tmp_path):
+    cfg = tmp_path / "l1.cfg"
+    cfg.write_text("problem = l1-dense\nsize = 32\nsampling_ratio = 0.5\n"
+                   "c = 1e-1\nmu = 1e-2\nseed = 3\nmax_outer = 60\n")
+    out_dir = tmp_path / "out"
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    assert "relative_error" in (out_dir / "metrics.txt").read_text()
+    assert not (out_dir / "reconstruction.pgm").exists()
+
+
+def test_solve_rejects_nonpositive_max_outer(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SOLVE_CONFIG + "\nmax_outer = -1\n")
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "max_outer" in capsys.readouterr().err
 
 
 def test_solve_missing_config(tmp_path):

@@ -3,10 +3,10 @@ import pytest
 from test_linops import band_to_dense
 
 from csnewton.linops import make_dense_dictionary, make_gradient2d
-from csnewton.precond import build_for_system, build_preconditioner, spectrum_report
+from csnewton.precond import build_for_system, spectrum_report
 from csnewton.problems import make_itv_instance, shepp_logan
 from csnewton.smoothing import SmoothedObjective
-from csnewton.solver import NewtonSystem, SolverConfig, fresh_state, project_linf, solve_subproblem
+from csnewton.solver import NewtonSystem, SolverConfig, project_linf
 
 
 def itv_system(n1=4, n2=4, mu=1e-2, c=0.1, seed=0, x=None, g=None):
@@ -143,18 +143,6 @@ def test_factorization_breakdown_doubles_shift():
     np.testing.assert_allclose(back, r, rtol=1e-8, atol=1e-10)
 
 
-def test_build_preconditioner_state_entry_point():
-    obj, system = itv_system()
-    state = fresh_state(obj)
-    config = SolverConfig(precond_mode="exact_banded")
-    pre = build_preconditioner(state, obj, config)
-    assert pre.mode == "exact_banded"
-    system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
-    r = np.random.default_rng(6).standard_normal(obj.n)
-    back = system.ntilde_matvec(pre.action(r), pre.rho)
-    np.testing.assert_allclose(back, r, rtol=1e-10, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # spectrum reports
 # ---------------------------------------------------------------------------
@@ -170,11 +158,9 @@ def test_spectrum_all_ones_when_target_equals_matrix():
     W = make_gradient2d(n1, n2)
     A = make_dense_dictionary(np.sqrt(rho) * np.eye(n))
     obj = SmoothedObjective(c=0.1, mu=1e-2, A=A, W=W, b=rng.standard_normal(n))
-    state = fresh_state(obj)
-    state.x = rng.standard_normal(n)
+    x = rng.standard_normal(n)
     g = project_linf(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    state.g_re, state.g_im = np.real(g), np.imag(g)
-    rep = spectrum_report(state, obj, rho=rho, nu=0.5 / obj.mu)
+    rep = spectrum_report(NewtonSystem(obj, x, np.real(g), np.imag(g)), rho=rho, nu=0.5 / obj.mu)
     np.testing.assert_allclose(rep.precond_eigs, np.ones(n), atol=1e-10)
     assert np.all(rep.raw_eigs > 0)
     assert np.all(np.diff(rep.raw_eigs) >= 0) and np.all(np.diff(rep.precond_eigs) >= 0)
@@ -188,14 +174,12 @@ def test_spectrum_near_identity_target_reproduces_raw():
     W = make_gradient2d(n1, n2)
     A = make_dense_dictionary(rng.standard_normal((n // 2, n)) / np.sqrt(n))
     obj = SmoothedObjective(c=1e-12, mu=1e-2, A=A, W=W, b=rng.standard_normal(n // 2))
-    state = fresh_state(obj)
-    state.x = rng.standard_normal(n)
-    rep = spectrum_report(state, obj, rho=1.0, nu=0.5 / obj.mu)
+    system = NewtonSystem(obj, rng.standard_normal(n), np.zeros(n), np.zeros(n))
+    rep = spectrum_report(system, rho=1.0, nu=0.5 / obj.mu)
     np.testing.assert_allclose(rep.precond_eigs, rep.raw_eigs, atol=1e-8)
 
 
 def test_spectrum_rejects_large_n():
-    obj, system = itv_system()
     big = SmoothedObjective(
         c=0.1,
         mu=1e-2,
@@ -203,17 +187,16 @@ def test_spectrum_rejects_large_n():
         W=make_dense_dictionary(np.eye(5000)),
         b=np.zeros(1),
     )
+    zeros = np.zeros(5000)
     with pytest.raises(ValueError):
-        spectrum_report(fresh_state(big), big, rho=0.5, nu=1.0)
+        spectrum_report(NewtonSystem(big, zeros, zeros, zeros), rho=0.5, nu=1.0)
 
 
 def test_spectrum_report_fields_and_sigma():
     obj, system = itv_system(n1=4, n2=4, mu=1e-2)
-    state = fresh_state(obj)
-    state.x = np.random.default_rng(9).standard_normal(obj.n)
     nu = 0.5 / obj.mu
-    rep = spectrum_report(state, obj, rho=0.5, nu=nu)
-    y = obj.W.adjoint_apply(state.x)
+    rep = spectrum_report(system, rho=0.5, nu=nu)
+    y = obj.W.adjoint_apply(system.x)
     d = 1.0 / np.sqrt(obj.mu**2 + np.abs(y) ** 2)
     assert rep.sigma == int(np.sum(d < nu))
     assert rep.nu == nu
@@ -233,7 +216,8 @@ def test_clustering_bounds_hold_on_solved_instance():
 
     config = SolverConfig(grad_tol=1e-8, max_outer=40, precond_mode="exact_banded")
     state = run_continuation(obj, config, make_schedule(2.29e-2, mu, precond_enable_mu=1.0))
-    rep = spectrum_report(state, obj, rho=0.5, nu=0.5 / mu)
+    system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
+    rep = spectrum_report(system, rho=0.5, nu=0.5 / mu)
     dev = np.abs(rep.precond_eigs - 1.0)
     assert np.all(dev <= rep.bound_kernel + 1e-9)
     strong = rep.kernel_residuals > 1e-2

@@ -1,18 +1,34 @@
 import numpy as np
 import pytest
+from hessian_oracle import hess_psi_matvec
 
-from csnewton.linops import make_dense_dictionary, make_gradient2d, make_zero_operator, to_dense
+from csnewton.linops import make_dense_dictionary, make_gradient2d, make_zero_operator
 from csnewton.smoothing import (
     SmoothedObjective,
     build_D,
     fd_step,
     grad_psi,
-    hess_f_matvec,
-    hess_psi_matvec,
     huber_value,
     objective_grad,
     objective_value,
 )
+from csnewton.solver import NewtonSystem
+
+
+def hessian(obj, x):
+    """Hessian action of f at x: the Newton matrix at the central duals."""
+    return NewtonSystem.at_central_duals(obj, x).bhat_matvec
+
+
+def hessian_psi(x, W, mu):
+    """Hessian action of psi_mu(W* x): f with c = 1 and A = 0."""
+    zero = make_zero_operator(1, W.rows)
+    return hessian(SmoothedObjective(c=1.0, mu=mu, A=zero, W=W, b=np.zeros(1)), x)
+
+
+def dense_hessian(obj, x):
+    action = hessian(obj, x)
+    return np.column_stack([action(e) for e in np.eye(obj.n)])
 
 
 def test_huber_value_cases():
@@ -35,13 +51,13 @@ def test_huber_l1_approximation_bound():
 
 
 def test_build_D_values():
-    assert build_D(np.array([0.0]), mu=1.0).values[0] == 1.0
-    assert abs(build_D(np.array([4.0]), mu=3.0).values[0] - 0.2) <= 1e-15
-    d = build_D(np.array([3.0 + 4.0j]), mu=np.sqrt(11)).values[0]
+    assert build_D(np.array([0.0]), mu=1.0)[0] == 1.0
+    assert abs(build_D(np.array([4.0]), mu=3.0)[0] - 0.2) <= 1e-15
+    d = build_D(np.array([3.0 + 4.0j]), mu=np.sqrt(11))[0]
     assert abs(d - 1.0 / 6.0) <= 1e-15
     y = np.random.default_rng(1).standard_normal(50)
     mu = 1e-2
-    vals = build_D(y, mu).values
+    vals = build_D(y, mu)
     assert np.all(vals > 0) and np.all(vals <= 1.0 / mu)
 
 
@@ -53,10 +69,8 @@ def test_grad_psi_identity_dictionary():
 
 def test_hess_psi_identity_dictionary():
     W = make_dense_dictionary(np.eye(1))
-    np.testing.assert_allclose(hess_psi_matvec(np.zeros(1), np.ones(1), W, mu=1.0), [1.0])
-    np.testing.assert_allclose(
-        hess_psi_matvec(np.array([4.0]), np.array([1.0]), W, mu=3.0), [9.0 / 125.0]
-    )
+    np.testing.assert_allclose(hessian_psi(np.zeros(1), W, mu=1.0)(np.ones(1)), [1.0])
+    np.testing.assert_allclose(hessian_psi(np.array([4.0]), W, mu=3.0)(np.ones(1)), [9.0 / 125.0])
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "grad2d"])
@@ -82,7 +96,7 @@ def test_derivatives_match_finite_differences(kind):
         fd_g = (huber_value(y_p, mu) - huber_value(y_m, mu)) / (2 * h)
         assert abs(fd_g - grad_psi(x, W, mu) @ v) <= 1e-6 * max(1.0, abs(fd_g))
         fd_h = (grad_psi(x + h * v, W, mu) - grad_psi(x - h * v, W, mu)) / (2 * h)
-        hv = hess_psi_matvec(x, v, W, mu)
+        hv = hessian_psi(x, W, mu)(v)
         assert np.linalg.norm(fd_h - hv) <= 1e-5 * max(1.0, np.linalg.norm(fd_h))
 
 
@@ -117,15 +131,14 @@ def test_objective_scalar_case_by_hand():
 
 
 def test_hess_f_reduces_to_regularizer_with_zero_A():
+    # against the closed-form oracle, which shares no Newton machinery
     rng = np.random.default_rng(6)
     W = make_gradient2d(3, 3)
     A = make_zero_operator(4, 9)
     obj = SmoothedObjective(c=0.7, mu=0.1, A=A, W=W, b=np.zeros(4))
     x = rng.standard_normal(9)
     v = rng.standard_normal(9)
-    np.testing.assert_allclose(
-        hess_f_matvec(obj, x, v), 0.7 * hess_psi_matvec(x, v, W, 0.1), atol=1e-14
-    )
+    np.testing.assert_allclose(hessian(obj, x)(v), 0.7 * hess_psi_matvec(x, v, W, 0.1), atol=1e-14)
 
 
 def test_hess_f_matches_dense_assembly_and_symmetry():
@@ -135,22 +148,18 @@ def test_hess_f_matches_dense_assembly_and_symmetry():
     A = make_dense_dictionary(rng.standard_normal((6, n)) / np.sqrt(n))
     obj = SmoothedObjective(c=0.3, mu=1e-3, A=A, W=W, b=rng.standard_normal(6))
     x = rng.standard_normal(n) * 3  # most |y_i| >> mu
-    hd = np.zeros((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        hd[:, j] = hess_f_matvec(obj, x, e)
-        e[j] = 0.0
+    hd = dense_hessian(obj, x)
     np.testing.assert_allclose(hd, hd.T, atol=1e-10)
+    action = hessian(obj, x)
     for _ in range(20):
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
-        lhs = u @ hess_f_matvec(obj, x, v)
-        rhs = v @ hess_f_matvec(obj, x, u)
+        lhs = u @ action(v)
+        rhs = v @ action(u)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
     # action agrees with the dense assembly
     v = rng.standard_normal(n)
-    np.testing.assert_allclose(hess_f_matvec(obj, x, v), hd @ v, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(action(v), hd @ v, rtol=1e-12, atol=1e-12)
 
 
 def test_hess_f_positive_definite_when_kernels_disjoint():
@@ -161,13 +170,7 @@ def test_hess_f_positive_definite_when_kernels_disjoint():
     mask_entries[0, :] = 1.0 / np.sqrt(n)  # A sees the constant direction
     A = make_dense_dictionary(mask_entries)
     obj = SmoothedObjective(c=0.2, mu=1e-2, A=A, W=W, b=np.zeros(1))
-    x = rng.standard_normal(n)
-    hd = np.zeros((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        hd[:, j] = hess_f_matvec(obj, x, e)
-        e[j] = 0.0
+    hd = dense_hessian(obj, rng.standard_normal(n))
     evals = np.linalg.eigvalsh(0.5 * (hd + hd.T))
     assert evals.min() > 0
 
@@ -179,21 +182,11 @@ def test_hessian_continuity_is_bounded():
     W = make_gradient2d(4, 4)
     A = make_dense_dictionary(rng.standard_normal((5, n)) / 4)
     obj = SmoothedObjective(c=0.4, mu=1e-1, A=A, W=W, b=np.zeros(5))
-
-    def dense_hess(x):
-        h = np.zeros((n, n))
-        e = np.zeros(n)
-        for j in range(n):
-            e[j] = 1.0
-            h[:, j] = hess_f_matvec(obj, x, e)
-            e[j] = 0.0
-        return h
-
     ratios = []
     for _ in range(100):
         x = rng.standard_normal(n)
         y = rng.standard_normal(n)
         ratios.append(
-            np.linalg.norm(dense_hess(y) - dense_hess(x), 2) / np.linalg.norm(y - x)
+            np.linalg.norm(dense_hessian(obj, y) - dense_hessian(obj, x), 2) / np.linalg.norm(y - x)
         )
     assert np.all(np.isfinite(ratios))

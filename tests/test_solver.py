@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
+from hessian_oracle import hess_f_matvec
 
 from csnewton.linops import make_dense_dictionary, make_gradient2d, make_zero_operator, to_dense
-from csnewton.smoothing import SmoothedObjective, build_D, hess_f_matvec, objective_value
+from csnewton.smoothing import SmoothedObjective, build_D, objective_value
 from csnewton.solver import (
     NegativeCurvatureError,
     NewtonSystem,
     SolverConfig,
-    bhat_matvec,
-    dual_step,
     fresh_state,
     line_search,
     project_linf,
@@ -27,12 +26,15 @@ def small_instance(rng, n=16, m=10, mu=1e-2, c=0.1, complex_w=False, l=None):
     return SmoothedObjective(c=c, mu=mu, A=A, W=W, b=b)
 
 
-def central_duals(obj, x):
-    y = obj.W.adjoint_apply(x)
-    d = build_D(y, obj.mu).values
-    if np.iscomplexobj(y):
-        return d * np.real(y), d * np.imag(y)
-    return d * y, np.zeros_like(d)
+@pytest.mark.parametrize("field,value", [
+    ("eta", 1.0), ("tau1", 0.0), ("tau2", 0.5), ("max_backtracks", -1), ("rho", 0.0),
+    ("precond_mode", "bogus"), ("eta_schedule", "bogus"), ("precond_inner", 0),
+    ("pcg_cap", 0), ("max_outer", 0), ("max_outer", -1), ("grad_tol", -1.0),
+    ("snapshot_every", -3),
+])
+def test_solver_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +70,9 @@ def test_bhat_zero_point_identity_dictionary():
     A = make_zero_operator(2, 3)
     obj = SmoothedObjective(c=1.0, mu=mu, A=A, W=W, b=np.zeros(2))
     state = fresh_state(obj)
+    system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
     v = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_allclose(bhat_matvec(state, obj, v), v / mu, rtol=1e-14)
+    np.testing.assert_allclose(system.bhat_matvec(v), v / mu, rtol=1e-14)
 
 
 @pytest.mark.parametrize("complex_w", [False, True])
@@ -77,8 +80,7 @@ def test_bhat_equals_hessian_at_central_duals(complex_w):
     rng = np.random.default_rng(1)
     obj = small_instance(rng, complex_w=complex_w)
     x = rng.standard_normal(obj.n)
-    g_re, g_im = central_duals(obj, x)
-    system = NewtonSystem(obj, x, g_re, g_im)
+    system = NewtonSystem.at_central_duals(obj, x)
     for _ in range(10):
         v = rng.standard_normal(obj.n)
         hv = hess_f_matvec(obj, x, v)
@@ -102,9 +104,7 @@ def test_bhat_symmetry_at_generic_duals():
 def test_dual_step_fixed_point_at_central_duals():
     rng = np.random.default_rng(3)
     obj = small_instance(rng, complex_w=True)
-    x = rng.standard_normal(obj.n)
-    g_re, g_im = central_duals(obj, x)
-    system = NewtonSystem(obj, x, g_re, g_im)
+    system = NewtonSystem.at_central_duals(obj, rng.standard_normal(obj.n))
     dg_re, dg_im = system.dual_step(np.zeros(obj.n))
     assert np.max(np.abs(dg_re)) <= 1e-14
     assert np.max(np.abs(dg_im)) <= 1e-14
@@ -117,7 +117,7 @@ def test_dual_step_zero_point_identity_dictionary():
     obj = SmoothedObjective(c=1.0, mu=mu, A=A, W=W, b=np.zeros(2))
     state = fresh_state(obj)
     dx = np.array([0.3, -0.1, 0.7])
-    dg_re, dg_im = dual_step(state, obj, dx)
+    dg_re, dg_im = NewtonSystem(obj, state.x, state.g_re, state.g_im).dual_step(dx)
     np.testing.assert_allclose(dg_re, dx / mu, rtol=1e-14)
     np.testing.assert_array_equal(dg_im, np.zeros(3))
 
@@ -136,7 +136,7 @@ def test_dual_step_matches_dense_formula():
     p = wd.conj().T.real  # maps v -> Re(W* v)
     q = wd.conj().T.imag  # maps v -> Im(W* v)
     y = wd.conj().T @ x
-    d = build_D(y, obj.mu).values
+    d = build_D(y, obj.mu)
     a, b = p @ x, q @ x
     b1 = d * g_re * a
     b2 = d * g_re * b
@@ -169,7 +169,8 @@ def test_line_search_exact_newton_on_quadratic():
     grad = a_mat.T @ (a_mat @ x - b)
     dx = np.linalg.solve(h, -grad)
     energy = dx @ (h @ dx)
-    res = line_search(obj, x, dx, energy, tau1=0.9, tau2=1e-3, max_backtracks=10)
+    res = line_search(obj, x, W.adjoint_apply(x), dx, energy, tau1=0.9, tau2=1e-3,
+                      max_backtracks=10)
     assert res.accepted and res.backtracks == 0 and res.alpha == 1.0
 
 
@@ -177,7 +178,7 @@ def test_line_search_zero_direction_degenerate():
     rng = np.random.default_rng(6)
     obj = small_instance(rng)
     x = rng.standard_normal(obj.n)
-    res = line_search(obj, x, np.zeros(obj.n), 0.0, 0.9, 1e-3, 10)
+    res = line_search(obj, x, obj.W.adjoint_apply(x), np.zeros(obj.n), 0.0, 0.9, 1e-3, 10)
     assert res.accepted and res.backtracks == 0 and res.alpha == 1.0
 
 
@@ -189,7 +190,8 @@ def test_line_search_exhaustion_flagged():
     from csnewton.smoothing import objective_grad
 
     up = objective_grad(obj, x)
-    res = line_search(obj, x, up, energy=1.0, tau1=0.9, tau2=1e-3, max_backtracks=10)
+    res = line_search(obj, x, obj.W.adjoint_apply(x), up, energy=1.0, tau1=0.9, tau2=1e-3,
+                      max_backtracks=10)
     assert not res.accepted
     assert res.backtracks == 10
     assert abs(res.alpha - 0.9**10) <= 1e-15
@@ -272,7 +274,7 @@ def test_dual_convergence_to_central_values():
     state = solve_subproblem(obj, SolverConfig(grad_tol=1e-10, max_outer=200))
     assert state.converged
     y = obj.W.adjoint_apply(state.x)
-    d = build_D(y, obj.mu).values
+    d = build_D(y, obj.mu)
     assert np.max(np.abs(state.g_re - d * np.real(y))) <= 1e-5
     assert np.max(np.abs(state.g_im - d * np.imag(y))) <= 1e-5
 
@@ -282,7 +284,8 @@ def test_bhat_approaches_hessian_at_termination():
     obj = small_instance(rng, n=12, mu=1e-2, c=0.1, complex_w=True)
     state = solve_subproblem(obj, SolverConfig(grad_tol=1e-10, max_outer=200))
     v = rng.standard_normal(obj.n)
-    gap = bhat_matvec(state, obj, v) - hess_f_matvec(obj, state.x, v)
+    system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
+    gap = system.bhat_matvec(v) - hess_f_matvec(obj, state.x, v)
     assert np.linalg.norm(gap) / np.linalg.norm(v) <= 1e-4
 
 
@@ -322,3 +325,20 @@ def test_entry_projection_protects_solver_from_bad_warm_start():
     state = solve_subproblem(obj, SolverConfig(grad_tol=1e-8, max_outer=100), init=state)
     assert state.converged
     assert np.max(np.hypot(state.g_re, state.g_im)) <= 1.0 + 1e-12
+
+
+def test_snapshots_hold_the_systems_the_loop_built():
+    # the loop rebinds x and the duals and never writes into them, so every
+    # snapshot still holds the point its system was built at
+    rng = np.random.default_rng(16)
+    obj = small_instance(rng, n=12, mu=1e-2, c=0.1, complex_w=True)
+    state = solve_subproblem(obj, SolverConfig(grad_tol=1e-10, max_outer=200, snapshot_every=1))
+    assert state.converged and len(state.snapshots) == state.outer_iter > 1
+    np.testing.assert_array_equal(state.snapshots[0].system.x, np.zeros(obj.n))
+    for k, snap in enumerate(state.snapshots):
+        assert snap.outer_iter == k
+        s = snap.system
+        rebuilt = NewtonSystem(obj, s.x, s.g_re, s.g_im)
+        for name in ("y", "d1", "d4", "d23"):
+            np.testing.assert_array_equal(getattr(rebuilt, name), getattr(s, name))
+    assert not np.array_equal(state.snapshots[-1].system.x, state.x)
