@@ -278,6 +278,9 @@ def _cmd_spectrum(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.every < 1:
+        print(f"error: --every must be >= 1, got {args.every}", file=sys.stderr)
+        return 2
     n = cfg["size"] ** 2 if cfg["problem"] == "itv" else cfg["size"]
     if n > 4096:
         print(f"error: spectrum needs n <= 4096, got {n}", file=sys.stderr)

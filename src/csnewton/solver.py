@@ -10,7 +10,7 @@ One outer iteration, at the current primal x and box-constrained duals
      componentwise unit ball, which keeps Bhat positive definite;
   3. backtrack on the primal step with the curvature term dx^T Bhat dx,
      obtained for free from the zero-start CG identity
-     dx^T Bhat dx = -dx^T grad f.
+     dx^T Bhat dx = -dx^T grad f; if no trial step passes, x stays put.
 
 Dictionary-domain convention: the analysis channels of a real vector v
 are Re(W* v) and Im(W* v), and the paired synthesis of two real vectors
@@ -65,7 +65,7 @@ class SolverConfig:
     eta: float = 1.0e-1
     tau1: float = 9.0e-1
     tau2: float = 1.0e-3
-    max_backtracks: int = 10
+    max_backtracks: int = 200  # 0.9**200 ~ 7e-10; each trial costs O(l + m), no operator call
     rho: float = 5.0e-1
     grad_tol: float = 1.0e-6
     max_outer: int = 100
@@ -264,7 +264,8 @@ def line_search(
     dx^T Bhat dx (not its square root).  After one W* and two A actions
     the sufficient-decrease test is evaluated from the transforms of x and
     dx, so each trial costs O(l + m) flops and no operator calls.
-    Exhaustion returns the smallest trial step with ``accepted=False``.
+    Exhaustion returns ``alpha = 0`` and ``f_new = f(x)`` with
+    ``accepted=False``: a step that fails the test is never taken.
     """
     ydx = obj.W.adjoint_apply(dx)
     r = obj.A.apply(x) - obj.b
@@ -275,7 +276,6 @@ def line_search(
         return obj.c * huber_value(y + a * ydx, obj.mu) + 0.5 * float(res @ res)
 
     f_x = value(0.0)
-    f_trial = f_x
     for j in range(max_backtracks + 1):
         a = tau1**j
         f_trial = value(a)
@@ -283,7 +283,7 @@ def line_search(
             raise NonFiniteError(f"non-finite objective in line search at j={j}")
         if f_trial <= f_x - tau2 * a * energy:
             return LineSearchResult(a, j, True, f_trial)
-    return LineSearchResult(tau1**max_backtracks, max_backtracks, False, f_trial)
+    return LineSearchResult(0.0, max_backtracks, False, f_x)
 
 
 def _grad_and_norm(obj: SmoothedObjective, x: np.ndarray, counters: Counters):
@@ -366,8 +366,9 @@ def solve_subproblem(
             counters.pcg_iters += 1
             energy_explicit = float(dx @ bdx)
 
-        state.x = state.x + ls.alpha * dx
-        grad, gnorm = _grad_and_norm(obj, state.x, counters)
+        if ls.accepted:  # a rejected step leaves x, and so grad, as they were
+            state.x = state.x + ls.alpha * dx
+            grad, gnorm = _grad_and_norm(obj, state.x, counters)
         state.outer_iter += 1
         state.trace.append(
             IterationRecord(

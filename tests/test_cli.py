@@ -218,6 +218,16 @@ def test_spectrum_command(tmp_path):
     assert np.all(data[:, 0] > 0)
 
 
+@pytest.mark.parametrize("every", ["0", "-2"])
+def test_spectrum_rejects_every_below_one(tmp_path, capsys, every):
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SOLVE_CONFIG)
+    out = tmp_path / "s.csv"
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out), "--every", every]) == 2
+    assert "--every must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_rejects_large_problem(tmp_path):
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(SOLVE_CONFIG.replace("size = 16", "size = 128"))

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from csnewton.continuation import StageError, make_schedule, run_continuation
+import csnewton.solver
+from csnewton.continuation import (
+    PRECOND_ENABLE_MU,
+    StageError,
+    make_schedule,
+    run_continuation,
+)
 from csnewton.problems import make_itv_instance, shepp_logan
 from csnewton.smoothing import SmoothedObjective
 from csnewton.solver import SolverConfig, fresh_state, solve_subproblem
@@ -65,7 +71,41 @@ def test_single_stage_equals_direct_solve():
     np.testing.assert_array_equal(via_cont.x, direct.x)
 
 
-def test_run_continuation_stage_bookkeeping():
+@pytest.fixture
+def precond_modes(monkeypatch):
+    """Records the mode of every preconditioner the Newton loop builds, one
+    entry per outer iteration, so entry i belongs to trace record i."""
+    modes = []
+    build = csnewton.solver.build_for_system
+
+    def spy(system, mode, *args, **kwargs):
+        modes.append(mode)
+        return build(system, mode, *args, **kwargs)
+
+    monkeypatch.setattr(csnewton.solver, "build_for_system", spy)
+    return modes
+
+
+def modes_by_stage(trace, modes):
+    assert len(modes) == len(trace)
+    by_stage = {}
+    for rec, mode in zip(trace, modes):
+        by_stage.setdefault(rec.stage, set()).add(mode)
+    return by_stage
+
+
+def test_schedule_precond_rule_per_mode():
+    sched = make_schedule(1e-2, 1e-5)
+    mus = [m for _, m in sched.stages]
+    for mode, first_on in (("exact_banded", 2), ("truncated_cg", 4)):
+        assert [sched.precond_mode(mode, mu) for mu in mus] == (
+            ["none"] * first_on + [mode] * (6 - first_on)
+        )
+        assert mus[first_on] <= PRECOND_ENABLE_MU[mode] < mus[first_on - 1]
+    assert [sched.precond_mode("none", mu) for mu in mus] == ["none"] * 6
+
+
+def test_run_continuation_stage_bookkeeping(precond_modes):
     # reference parameters on a 32x32 instance: five stages beyond the
     # initial one, per-stage traces individually monotone, final gradient
     # below tolerance (the deep-mu stage converges only loosely)
@@ -83,9 +123,25 @@ def test_run_continuation_stage_bookkeeping():
         fs = [r.f for r in state.trace if r.stage == s]
         assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(fs, fs[1:]))
         assert all(np.isfinite(f) for f in fs)
-    # preconditioning gate: only stages with mu <= 1e-4 get the banded mode
-    # (indirectly visible through rebuild counters staying at zero)
     assert all(r.dual_box <= 1.0 + 1e-12 for r in state.trace)
+    # preconditioning gate: the banded mode runs from stage 2 (mu <= 1e-2)
+    by_stage = modes_by_stage(state.trace, precond_modes)
+    assert by_stage == {0: {"none"}, 1: {"none"}, **{s: {"exact_banded"} for s in range(2, 6)}}
+
+
+@pytest.mark.parametrize(
+    "mode, enable_mu, first_on",
+    [("truncated_cg", None, 4), ("exact_banded", 1.0, 0), ("truncated_cg", 1.0, 0)],
+)
+def test_run_continuation_precond_switch_on(precond_modes, mode, enable_mu, first_on):
+    # two outer iterations per stage are enough to see which mode each stage runs
+    obj = small_itv_objective(1e-2, 1e-5)
+    sched = make_schedule(1e-2, 1e-5, precond_enable_mu=enable_mu)
+    state = run_continuation(obj, SolverConfig(max_outer=2, precond_mode=mode), sched)
+    by_stage = modes_by_stage(state.trace, precond_modes)
+    assert sorted(by_stage) == list(range(6))
+    for s, modes in by_stage.items():
+        assert modes == {mode if s >= first_on else "none"}
 
 
 def test_warm_start_duals_reprojected():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from test_linops import band_to_dense
 
-from csnewton.linops import make_dense_dictionary, make_gradient2d
+from csnewton.linops import make_dense_dictionary, make_gradient2d, make_zero_operator
 from csnewton.precond import build_for_system, spectrum_report
 from csnewton.problems import make_itv_instance, shepp_logan
 from csnewton.smoothing import SmoothedObjective
@@ -180,11 +180,9 @@ def test_spectrum_near_identity_target_reproduces_raw():
 
 
 def test_spectrum_rejects_large_n():
+    # operators without dense storage reach the size check cheaply
     big = SmoothedObjective(
-        c=0.1,
-        mu=1e-2,
-        A=make_dense_dictionary(np.ones((1, 5000))),
-        W=make_dense_dictionary(np.eye(5000)),
+        c=0.1, mu=1e-2, A=make_zero_operator(1, 5000), W=make_zero_operator(5000, 5000),
         b=np.zeros(1),
     )
     zeros = np.zeros(5000)

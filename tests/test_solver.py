@@ -183,7 +183,8 @@ def test_line_search_zero_direction_degenerate():
 
 
 def test_line_search_exhaustion_flagged():
-    # ascent direction with fake positive energy can never satisfy the test
+    # ascent direction with fake positive energy can never satisfy the test;
+    # exhaustion is flagged and returns the zero step at f(x)
     rng = np.random.default_rng(7)
     obj = small_instance(rng)
     x = rng.standard_normal(obj.n)
@@ -194,12 +195,41 @@ def test_line_search_exhaustion_flagged():
                       max_backtracks=10)
     assert not res.accepted
     assert res.backtracks == 10
-    assert abs(res.alpha - 0.9**10) <= 1e-15
+    assert res.alpha == 0.0
+    assert res.f_new == pytest.approx(objective_value(obj, x), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # full subproblem solves
 # ---------------------------------------------------------------------------
+
+
+def test_rejected_line_search_leaves_x(monkeypatch):
+    # with a single trial step some full Newton steps fail; none may move x
+    import csnewton.solver
+
+    calls = []
+    search = csnewton.solver.line_search
+
+    def spy(obj, x, *args):
+        res = search(obj, x, *args)
+        calls.append((x.copy(), res))
+        return res
+
+    monkeypatch.setattr(csnewton.solver, "line_search", spy)
+    obj = small_instance(np.random.default_rng(0), mu=1e-4)
+    state = solve_subproblem(obj, SolverConfig(max_outer=30, max_backtracks=0))
+    assert state.converged
+    rejected = [i for i, (_, res) in enumerate(calls) if not res.accepted]
+    assert rejected and rejected[-1] < len(calls) - 1
+    for i in rejected:
+        x, res = calls[i]
+        assert res.alpha == 0.0
+        assert res.f_new == pytest.approx(objective_value(obj, x), rel=1e-12)
+        np.testing.assert_array_equal(calls[i + 1][0], x)
+    assert [r.accepted for r in state.trace] == [res.accepted for _, res in calls]
+    fs = [r.f for r in state.trace]
+    assert all(b <= a + 1e-12 * abs(a) for a, b in zip(fs, fs[1:]))
 
 
 def test_zero_data_terminates_immediately():
