@@ -1,7 +1,7 @@
 """Matrix-free Newton-Krylov reconstruction for compressed sensing with
 coherent and redundant dictionaries (l1-analysis and isotropic TV)."""
 
-from .continuation import ContinuationSchedule, make_schedule, run_continuation
+from .continuation import ContinuationSchedule, Stage, make_schedule, run_continuation
 from .krylov import PcgOutcome, pcg_solve
 from .linops import (
     LinearOperator,

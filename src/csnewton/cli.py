@@ -31,7 +31,8 @@ from .problems import ProblemInstance, make_itv_instance, psnr, relative_error, 
 from .smoothing import SmoothedObjective
 from .solver import SolverConfig, solve_subproblem
 
-TRACE_COLUMNS = ["stage", "iter", "f", "grad_norm", "pcg_iters", "alpha", "backtracks", "time_s"]
+TRACE_COLUMNS = ["stage", "iter", "f", "grad_norm", "pcg_iters", "alpha", "backtracks", "time_s",
+                 "eta", "pcg_converged"]
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,8 @@ def write_trace_csv(path, trace) -> None:
         for rec in trace:
             writer.writerow(
                 [rec.stage, rec.outer_iter, f"{rec.f:.12e}", f"{rec.grad_norm:.6e}",
-                 rec.pcg_iters, f"{rec.alpha:.6e}", rec.backtracks, f"{rec.wall_time:.6f}"]
+                 rec.pcg_iters, f"{rec.alpha:.6e}", rec.backtracks, f"{rec.wall_time:.6f}",
+                 f"{rec.eta:.6e}", int(rec.pcg_converged)]
             )
 
 

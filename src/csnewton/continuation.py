@@ -5,26 +5,42 @@ The number of stages is the larger order of magnitude of 1/c and 1/mu
 parameters start at 1e-1 and move log-linearly, each stage warm-started
 with the previous stage's full primal-dual state.
 
-Preconditioning is worth its cost only once mu is small enough for the
-regularizer to dominate the Newton matrix, and the point where it pays
-off depends on the mode (``PRECOND_ENABLE_MU``):
+Only the final stage's solution is returned; the earlier ones just seed
+a warm start.  How tightly each stage, and each PCG solve inside it, is
+converged is therefore a cost choice, not a property of the answer
+(inexact Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+19(2), 1982; forcing terms: Eisenstat & Walker, SIAM J. Sci. Comput.
+17(1), 1996).  ``ContinuationSchedule.plan`` resolves every stage's
+Newton settings in one place, as a tuple of ``Stage`` records:
 
-  * ``exact_banded`` is switched on at mu <= 1e-2, i.e. stages 2-5 of
-    the default 6-stage schedule to (c, mu) = (1e-2, 1e-5).  On the
-    noiseless phantom from 25% of its DCT coefficients this cuts 128x128
-    from 95 outer / 8679 PCG iterations to 74 / 1781 and 64x64 from
-    91 / 6703 to 81 / 1442, at the same PSNR.  Switching it on at
-    mu = 1e-1 as well is slower at 256x256 (50.0 s against 39.0 s,
-    single runs on a 2-vCPU guest, one BLAS thread): there the factor,
-    O(n n1^2) per outer iteration, costs more than the PCG iterations
-    it saves.
-  * ``truncated_cg`` is switched on at mu <= 1e-4 (stages 4-5).  At
-    64x64, 1e-3 also converges with a monotone objective and fewer
-    iterations (70 / 4829 against 84 / 8755); that retune is not yet
-    measured on the benchmark.
+  * Preconditioning is worth its cost only once mu is small enough for
+    the regularizer to dominate the Newton matrix, and that point depends
+    on the mode (``PRECOND_ENABLE_MU``).  ``exact_banded`` is switched on
+    at mu <= 1e-2, i.e. stages 2-5 of the default 6-stage schedule to
+    (c, mu) = (1e-2, 1e-5); switching it on at mu = 1e-1 as well is
+    slower at 256x256 (50.0 s against 39.0 s), because there the factor,
+    O(n n1^2) per outer iteration, costs more than the PCG iterations it
+    saves.  ``truncated_cg`` is switched on at mu <= 1e-4 (stages 4-5).
+    ``ContinuationSchedule.precond_enable_mu`` overrides the rule for
+    every mode.
+  * Every stage but the last stops at a gradient tolerance of
+    ``max(grad_tol, INTERMEDIATE_GRAD_TOL)`` = 1e-3 at the default
+    grad_tol.  It is a floor, not a factor of grad_tol, so a caller's
+    loose grad_tol cannot let the intermediate stages take no iteration.
+  * Stages that run ``exact_banded`` use the forcing term
+    ``min(eta, FACTORED_ETA)`` = 1e-2: once a factor is paid for, a
+    back-solve is cheap next to it, and the tighter solve saves outer
+    iterations, each of which pays for a new factor.  ``none`` and
+    ``truncated_cg`` stages keep ``eta``.
 
-``ContinuationSchedule.precond_enable_mu`` overrides the rule for every
-mode.
+On the noiseless phantom from 25% of its DCT coefficients the last two
+rules take 128x128 ``exact_banded`` from 74 outer / 1781 PCG iterations
+to 46 / 1281 (median solve 5.56 -> 4.06 s on a 2-vCPU guest, one BLAS
+thread), 256x256 from 70 / 2237 to 43 / 1093, and 64x64
+``truncated_cg`` from 84 / 8755 to 63 / 5689, all at the same PSNR.
+Neighbours on 128x128: the floor alone gives 63 / 1093, eta = 3e-2
+gives 51 / 1139 and a 1e-4 floor 51 / 1711; a 1e-2 floor gives 41 / 935
+but has been measured on that one instance only.
 """
 
 from __future__ import annotations
@@ -40,7 +56,10 @@ from .solver import SolverConfig, SolverState, project_linf, solve_subproblem
 
 __all__ = [
     "ContinuationSchedule",
+    "FACTORED_ETA",
+    "INTERMEDIATE_GRAD_TOL",
     "PRECOND_ENABLE_MU",
+    "Stage",
     "make_schedule",
     "run_continuation",
     "StageError",
@@ -48,6 +67,10 @@ __all__ = [
 
 # Largest mu at which each preconditioner mode is switched on.
 PRECOND_ENABLE_MU = {"exact_banded": 1.0e-2, "truncated_cg": 1.0e-4}
+# Floor of the gradient tolerance of every stage but the last.
+INTERMEDIATE_GRAD_TOL = 1.0e-3
+# Ceiling of the PCG forcing term in stages that run exact_banded.
+FACTORED_ETA = 1.0e-2
 
 
 class StageError(RuntimeError):
@@ -59,24 +82,40 @@ class StageError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class Stage:
+    """One continuation stage and the Newton settings it runs with."""
+
+    c: float
+    mu: float
+    precond_mode: str
+    grad_tol: float
+    eta: float
+
+
+@dataclass(frozen=True)
 class ContinuationSchedule:
-    """The (c, mu) stages.  A stage runs the configured preconditioner
-    once its mu is at most ``precond_enable_mu`` when that is set, else
-    at most the mode's ``PRECOND_ENABLE_MU`` entry (1e-2 for
-    ``exact_banded``, 1e-4 for ``truncated_cg``)."""
+    """The (c, mu) stages.  ``precond_enable_mu``, when set, replaces
+    every mode's ``PRECOND_ENABLE_MU`` entry."""
 
     stages: Tuple[Tuple[float, float], ...]
     vartheta: int
     precond_enable_mu: Optional[float] = None
 
-    def precond_mode(self, mode: str, mu: float) -> str:
-        """The preconditioner mode a stage at ``mu`` runs with."""
-        if mode == "none":
-            return mode
+    def plan(self, config: SolverConfig) -> Tuple[Stage, ...]:
+        """Each stage's (c, mu) with the preconditioner mode, gradient
+        tolerance and forcing term it runs with under ``config``."""
         enable_mu = self.precond_enable_mu
         if enable_mu is None:
-            enable_mu = PRECOND_ENABLE_MU[mode]
-        return mode if mu <= enable_mu else "none"
+            # "none" has no entry: it runs unpreconditioned whatever the threshold
+            enable_mu = PRECOND_ENABLE_MU.get(config.precond_mode, 0.0)
+        last = len(self.stages) - 1
+        plan = []
+        for j, (c, mu) in enumerate(self.stages):
+            mode = config.precond_mode if mu <= enable_mu else "none"
+            grad_tol = config.grad_tol if j == last else max(config.grad_tol, INTERMEDIATE_GRAD_TOL)
+            eta = min(config.eta, FACTORED_ETA) if mode == "exact_banded" else config.eta
+            plan.append(Stage(c, mu, mode, grad_tol, eta))
+        return tuple(plan)
 
 
 def _order_of_magnitude(target: float) -> int:
@@ -112,20 +151,23 @@ def run_continuation(
     schedule: ContinuationSchedule,
     init: Optional[SolverState] = None,
 ) -> SolverState:
-    """Solve every stage, warm-starting each from the previous solution.
+    """Solve every stage of ``schedule.plan(config)``, warm-starting each
+    from the previous solution.
 
     ``obj_targets`` carries the problem data; its (c, mu) are overridden
-    stage by stage.  Early stages run with a 10x looser gradient
-    tolerance since they only seed the next warm start.  The returned
-    state holds the concatenated trace with a stage column.
+    stage by stage, and so are the preconditioner mode, ``grad_tol`` and
+    ``eta`` of ``config``: every stage but the last stops at
+    ``max(grad_tol, INTERMEDIATE_GRAD_TOL)``, and ``exact_banded`` stages
+    solve to ``min(eta, FACTORED_ETA)`` (see the module docstring for the
+    measurements).  The returned state holds the concatenated trace with
+    a stage column.
     """
     state = init
-    last = len(schedule.stages) - 1
-    for j, (c_j, mu_j) in enumerate(schedule.stages):
-        obj_j = replace(obj_targets, c=c_j, mu=mu_j)
-        mode = schedule.precond_mode(config.precond_mode, mu_j)
-        tol = config.grad_tol if j == last else 10.0 * config.grad_tol
-        config_j = replace(config, precond_mode=mode, grad_tol=tol)
+    for j, stage in enumerate(schedule.plan(config)):
+        obj_j = replace(obj_targets, c=stage.c, mu=stage.mu)
+        config_j = replace(
+            config, precond_mode=stage.precond_mode, grad_tol=stage.grad_tol, eta=stage.eta
+        )
         if state is not None:
             g = project_linf(state.g_re + 1j * state.g_im)
             state.g_re, state.g_im = np.real(g), np.imag(g)

@@ -252,9 +252,8 @@ def _require_power_of_two(k: int, what: str) -> None:
 
 def make_partial_dct2(n1: int, n2: int, mask: SamplingMask) -> LinearOperator:
     """Row selection of the orthonormal 2D DCT-II of a column-stacked image,
-    transformed as a C-order (n2, n1) view down each image column first."""
-    _require_power_of_two(n1, "n1")
-    _require_power_of_two(n2, "n2")
+    transformed as a C-order (n2, n1) view down each image column first.
+    Any image size works: ``dctn`` needs no power-of-two length."""
     n = n1 * n2
     idx = mask.selected_indices
     if idx[-1] >= n:

@@ -119,7 +119,7 @@ class IterationRecord:
     grad_dot_dx: float
     dual_box: float
     accepted: bool
-    precond_rebuilds: int = 0
+    pcg_converged: bool
     energy_explicit: Optional[float] = None
     pcg_residual: Optional[float] = None
 
@@ -325,6 +325,7 @@ def solve_subproblem(
         system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
         if config.snapshot_every > 0 and state.outer_iter % config.snapshot_every == 0:
             state.snapshots.append(SystemSnapshot(stage, state.outer_iter, system))
+        pre = None  # drop the previous factor before the next one is built
         pre = build_for_system(system, config.precond_mode, config.rho, config.precond_inner)
         eta_k = config.eta
         if config.eta_schedule == "decreasing":
@@ -386,7 +387,7 @@ def solve_subproblem(
                 grad_dot_dx=grad_dot_dx,
                 dual_box=dual_box,
                 accepted=ls.accepted,
-                precond_rebuilds=pre.rebuilds,
+                pcg_converged=outcome.converged,
                 energy_explicit=energy_explicit,
                 pcg_residual=pcg_residual,
             )

@@ -128,6 +128,11 @@ def test_solve_command_outputs(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == cli.TRACE_COLUMNS
     assert len(rows) > 1
+    # each row carries its stage's forcing term: exact_banded runs only in
+    # the last stage (mu = 1e-2), and there with eta = 1e-2
+    records = [dict(zip(rows[0], row)) for row in rows[1:]]
+    assert {(r["stage"], float(r["eta"])) for r in records} == {("0", 0.1), ("1", 0.1), ("2", 1e-2)}
+    assert {r["pcg_converged"] for r in records} == {"1"}
     metrics = (out_dir / "metrics.txt").read_text()
     assert "psnr_db" in metrics and "total_matvecs" in metrics
 

@@ -5,11 +5,14 @@ import pytest
 
 import csnewton.solver
 from csnewton.continuation import (
+    FACTORED_ETA,
     PRECOND_ENABLE_MU,
+    Stage,
     StageError,
     make_schedule,
     run_continuation,
 )
+from csnewton.diagnostics import check_solver_invariants
 from csnewton.problems import make_itv_instance, shepp_logan
 from csnewton.smoothing import SmoothedObjective
 from csnewton.solver import SolverConfig, fresh_state, solve_subproblem
@@ -98,11 +101,43 @@ def test_schedule_precond_rule_per_mode():
     sched = make_schedule(1e-2, 1e-5)
     mus = [m for _, m in sched.stages]
     for mode, first_on in (("exact_banded", 2), ("truncated_cg", 4)):
-        assert [sched.precond_mode(mode, mu) for mu in mus] == (
-            ["none"] * first_on + [mode] * (6 - first_on)
-        )
+        plan = sched.plan(SolverConfig(precond_mode=mode))
+        assert [s.precond_mode for s in plan] == ["none"] * first_on + [mode] * (6 - first_on)
         assert mus[first_on] <= PRECOND_ENABLE_MU[mode] < mus[first_on - 1]
-    assert [sched.precond_mode("none", mu) for mu in mus] == ["none"] * 6
+    plan = sched.plan(SolverConfig(precond_mode="none"))
+    assert [s.precond_mode for s in plan] == ["none"] * 6
+
+
+@pytest.mark.parametrize(
+    "mode, modes, etas",
+    [
+        ("exact_banded", ["none"] * 2 + ["exact_banded"] * 4, [0.1] * 2 + [1e-2] * 4),
+        ("truncated_cg", ["none"] * 4 + ["truncated_cg"] * 2, [0.1] * 6),
+        ("none", ["none"] * 6, [0.1] * 6),
+    ],
+)
+def test_plan_default_schedule(mode, modes, etas):
+    sched = make_schedule(1e-2, 1e-5)
+    plan = sched.plan(SolverConfig(precond_mode=mode))
+    assert plan == tuple(
+        Stage(c, mu, m, tol, eta)
+        for (c, mu), m, tol, eta in zip(sched.stages, modes, [1e-3] * 5 + [1e-6], etas)
+    )
+
+
+def test_plan_keeps_tighter_caller_settings():
+    # an eta below FACTORED_ETA and a grad_tol above INTERMEDIATE_GRAD_TOL are kept
+    config = SolverConfig(precond_mode="exact_banded", eta=1e-3, grad_tol=5e-2)
+    plan = make_schedule(1e-2, 1e-5).plan(config)
+    assert [s.eta for s in plan] == [1e-3] * 6
+    assert [s.grad_tol for s in plan] == [5e-2] * 6
+    # the override switches the banded mode on, and with it the tighter eta, everywhere
+    sched = make_schedule(1e-2, 1e-5, precond_enable_mu=1.0)
+    plan = sched.plan(SolverConfig(precond_mode="exact_banded"))
+    assert {(s.precond_mode, s.eta) for s in plan} == {("exact_banded", FACTORED_ETA)}
+    # a single-stage schedule is the last stage: it keeps the caller's grad_tol
+    (only,) = make_schedule(1e-1, 1e-1).plan(SolverConfig(grad_tol=1e-8))
+    assert only.grad_tol == 1e-8
 
 
 def test_run_continuation_stage_bookkeeping(precond_modes):
@@ -142,6 +177,30 @@ def test_run_continuation_precond_switch_on(precond_modes, mode, enable_mu, firs
     assert sorted(by_stage) == list(range(6))
     for s, modes in by_stage.items():
         assert modes == {mode if s >= first_on else "none"}
+
+
+def phantom_continuation(n1, n2, mu):
+    """Default exact-banded continuation to (1e-2, mu) on the noiseless
+    phantom from 25% of its DCT coefficients."""
+    inst = make_itv_instance(shepp_logan(n1, n2), 0.25, float("inf"), seed=0)
+    obj = SmoothedObjective(c=1e-2, mu=mu, A=inst.A, W=inst.W, b=inst.b)
+    config = SolverConfig(precond_mode="exact_banded")
+    return run_continuation(obj, config, make_schedule(1e-2, mu))
+
+
+@pytest.mark.parametrize("n1, n2", [(24, 40), (40, 24), (30, 30)])
+def test_exact_banded_continuation_any_image_size(n1, n2):
+    state = phantom_continuation(n1, n2, 1e-5)
+    assert state.converged
+    assert check_solver_invariants(state.trace).violations == []
+
+
+def test_exact_banded_continuation_at_tiny_mu():
+    # D <= 1/mu = 1e8 strains the curvature; nine stages to mu = 1e-8
+    state = phantom_continuation(32, 32, 1e-8)
+    assert state.converged
+    assert {r.stage for r in state.trace} == set(range(9))
+    assert check_solver_invariants(state.trace).violations == []
 
 
 def test_warm_start_duals_reprojected():

@@ -207,9 +207,14 @@ def test_partial_dct2_matches_dense_row_selection(n1, n2):
     assert_adjoint_consistent(A, rng)
 
 
-def test_partial_dct2_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        make_partial_dct2(6, 8, make_mask(48, 10, seed=0))
+@pytest.mark.parametrize("n1,n2", [(24, 40), (40, 24), (30, 30)])
+def test_partial_dct2_any_image_size(n1, n2):
+    rng = np.random.default_rng(3)
+    n = n1 * n2
+    assert_adjoint_consistent(make_partial_dct2(n1, n2, make_mask(n, n // 4, seed=5)), rng)
+    full = make_partial_dct2(n1, n2, make_mask(n, n, seed=0))
+    x = rng.standard_normal(n)
+    assert abs(np.linalg.norm(full.apply(x)) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from csnewton.solver import NewtonSystem, SolverConfig, project_linf
 
 
 def itv_system(n1=4, n2=4, mu=1e-2, c=0.1, seed=0, x=None, g=None):
-    # n1, n2 must be powers of two (partial DCT measurements)
     rng = np.random.default_rng(seed)
     n = n1 * n2
     image = shepp_logan(max(16, n1), max(16, n2))[:n1, :n2]
