@@ -11,7 +11,6 @@ from .linops import (
     make_gradient2d,
     make_mask,
     make_partial_dct2,
-    make_partial_walsh01,
 )
 from .precond import Preconditioner, SpectrumReport, spectrum_report
 from .problems import (

@@ -32,7 +32,7 @@ from .smoothing import SmoothedObjective
 from .solver import SolverConfig, solve_subproblem
 
 TRACE_COLUMNS = ["stage", "iter", "f", "grad_norm", "pcg_iters", "alpha", "backtracks", "time_s",
-                 "eta", "pcg_converged"]
+                 "eta", "pcg_converged", "max_residual_drift"]
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ def write_trace_csv(path, trace) -> None:
             writer.writerow(
                 [rec.stage, rec.outer_iter, f"{rec.f:.12e}", f"{rec.grad_norm:.6e}",
                  rec.pcg_iters, f"{rec.alpha:.6e}", rec.backtracks, f"{rec.wall_time:.6f}",
-                 f"{rec.eta:.6e}", int(rec.pcg_converged)]
+                 f"{rec.eta:.6e}", int(rec.pcg_converged), f"{rec.max_residual_drift:.6e}"]
             )
 
 

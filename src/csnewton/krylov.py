@@ -28,7 +28,6 @@ class NonFiniteError(RuntimeError):
 class PcgOutcome:
     solution: np.ndarray
     iterations: int
-    final_residual_norm: float
     converged: bool
     negative_curvature: bool = False
     max_residual_drift: float = 0.0
@@ -73,13 +72,12 @@ def pcg_solve(
     x = np.zeros_like(rhs)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        return PcgOutcome(x, 0, 0.0, True)
+        return PcgOutcome(x, 0, True)
 
     r = rhs.copy()
     z = precond(r) if precond is not None else r
     p = z.copy()
     rz = float(r @ z)
-    res_norm = rhs_norm
     target = eta * rhs_norm
     max_drift = 0.0
 
@@ -89,7 +87,7 @@ def pcg_solve(
         if not np.isfinite(pq):
             raise NonFiniteError(f"non-finite curvature p^T op(p) at iteration {k}")
         if pq <= 0.0:
-            return PcgOutcome(x, k - 1, res_norm, False, negative_curvature=True,
+            return PcgOutcome(x, k - 1, False, negative_curvature=True,
                               max_residual_drift=max_drift)
         alpha = rz / pq
         x += alpha * p
@@ -110,9 +108,8 @@ def pcg_solve(
             r_true = rhs - op(x)
             drift = float(np.linalg.norm(r_true - r)) / max(1.0, float(np.linalg.norm(r_true)))
             max_drift = max(max_drift, drift)
-            true_norm = float(np.linalg.norm(r_true))
-            if true_norm <= target:
-                return PcgOutcome(x, k, true_norm, True, max_residual_drift=max_drift)
+            if float(np.linalg.norm(r_true)) <= target:
+                return PcgOutcome(x, k, True, max_residual_drift=max_drift)
         z = precond(r) if precond is not None else r
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
@@ -121,4 +118,4 @@ def pcg_solve(
         rz = rz_new
         p = z + beta * p
 
-    return PcgOutcome(x, cap, res_norm, False, max_residual_drift=max_drift)
+    return PcgOutcome(x, cap, False, max_residual_drift=max_drift)

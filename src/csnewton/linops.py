@@ -21,11 +21,13 @@ Conventions for the 2D discrete-gradient dictionary:
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.fft import dctn, idctn
+from scipy.sparse import dia_array
 
 __all__ = [
     "LinearOperator",
@@ -33,10 +35,10 @@ __all__ = [
     "make_mask",
     "make_gradient2d",
     "make_partial_dct2",
-    "make_partial_walsh01",
     "make_dense_dictionary",
     "make_zero_operator",
     "estimate_delta",
+    "stencil_matrix",
     "to_dense",
 ]
 
@@ -57,11 +59,22 @@ class LinearOperator:
         Maps a length-``rows`` vector to a length-``cols`` vector;
         implements the conjugate transpose of ``apply``.
     curvature_band : callable, optional
-        ``curvature_band(d1, d4, d23)`` returns, as a new Fortran-order
-        array, the LAPACK upper-band storage of the real symmetric S with
+        ``curvature_band(d1, d4, d23, out=None)`` writes the LAPACK
+        upper-band storage of the real symmetric S with
         S v = synth_real(op, d1*r + d23*i, d4*i + d23*r), where
-        (r, i) = analysis_parts(op, v).  Required by the exact banded
-        preconditioner; ``None`` where S is not cheap to write down.
+        (r, i) = analysis_parts(op, v), into ``out`` (a Fortran-order array
+        of the band's shape, whose old contents are overwritten) or into a
+        new Fortran-order array, and returns it.  Required by the exact
+        banded preconditioner; ``None`` where S is not cheap to write down.
+    curvature_diagonals : callable, optional
+        ``curvature_diagonals(d1, d4, d23)`` returns ``(offsets, diags)``,
+        the nonzero upper diagonals of the same S when it is a stencil of a
+        few diagonals: ``offsets`` is strictly increasing and starts at 0,
+        and row k of ``diags`` holds S[j - offsets[k], j] at column j (the
+        LAPACK band layout, zero for j < offsets[k]).  When present, the
+        Newton system assembles S once with :func:`stencil_matrix` and
+        applies it as one sparse product instead of an analysis and a
+        synthesis; the 2D gradient has it, dense dictionaries do not.
     """
 
     rows: int
@@ -69,9 +82,10 @@ class LinearOperator:
     field: str
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray], np.ndarray]
-    curvature_band: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = field(
-        default=None, repr=False
-    )
+    curvature_band: Optional[Callable[..., np.ndarray]] = field(default=None, repr=False)
+    curvature_diagonals: Optional[
+        Callable[[np.ndarray, np.ndarray, np.ndarray], Tuple[List[int], np.ndarray]]
+    ] = field(default=None, repr=False)
     # optional fast kernels; semantics fixed by the module helpers below
     fast_synth_real: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
         default=None, repr=False
@@ -197,25 +211,70 @@ def _grad2d_synthesis(z: np.ndarray, n1: int, n2: int) -> np.ndarray:
     return out
 
 
-def _grad2d_curvature_band(d1, d4, d23, n1: int, n2: int) -> np.ndarray:
-    """Upper band of S = Dh^T d1 Dh + Dv^T d4 Dv + Dh^T d23 Dv + Dv^T d23 Dh
-    for W* = Dh + i Dv: the 7-diagonal stencil, upper offsets 0, 1, n1-1, n1."""
+def _grad2d_curvature_diagonals(d1, d4, d23, n1: int, n2: int) -> Tuple[List[int], np.ndarray]:
+    """Upper diagonals of S = Dh^T d1 Dh + Dv^T d4 Dv + Dh^T d23 Dv + Dv^T d23 Dh
+    for W* = Dh + i Dv: the 7-diagonal stencil, upper offsets 0, 1, n1-1, n1.
+    At n1 = 2 offsets 1 and n1-1 coincide, and their terms add into one row."""
     ah, av, ac = d1.copy(), d4.copy(), d23.copy()
     # Dh rows leave the image at the trailing column, Dv rows at the trailing row
     ah[-n1:] = ac[-n1:] = 0.0
     av[n1 - 1 :: n1] = ac[n1 - 1 :: n1] = 0.0
-    ab = np.zeros((n1 + 1, n1 * n2), order="F")
+    offsets = sorted({0, 1, n1 - 1, n1})
+    diags = np.zeros((len(offsets), n1 * n2))
+    row = dict(zip(offsets, diags))
     h, v = ah.copy(), av.copy()
     h[n1:] += ah[:-n1]
     v[1:] += av[:-1]
     # the four terms of S add up left to right; the rounding, and with it
     # the banded preconditioner's PCG trajectory, depends on that order
-    ab[n1] = h + v + ac + ac
-    # entry (i, i + k) of S is stored at ab[n1 - k, i + k]
-    ab[n1 - 1, 1:] -= av[:-1] + ac[:-1]
-    ab[1, n1:] += ac[:-n1]
-    ab[0, n1:] -= ah[:-n1] + ac[:-n1]
+    row[0][:] = h + v + ac + ac
+    # entry (i, i + k) of S is stored at column i + k of row k
+    row[1][1:] -= av[:-1] + ac[:-1]
+    row[n1 - 1][n1:] += ac[:-n1]
+    row[n1][n1:] -= ah[:-n1] + ac[:-n1]
+    return offsets, diags
+
+
+def _band_storage(out: Optional[np.ndarray], shape: Tuple[int, int]) -> np.ndarray:
+    """``out`` zeroed, or a new zero Fortran-order array of ``shape``.
+
+    A new band is an anonymous memory map, not a heap block: a band is
+    large (17 MB at 128x128) and outlives many small arrays, and a freed
+    heap block of that size is split by later small allocations, so the
+    next band extends the heap and the peak RSS creeps up with every
+    band freed.  Unmapped, its pages go straight back to the system.
+    """
+    if out is None:
+        pages = mmap.mmap(-1, shape[0] * shape[1] * np.dtype(np.float64).itemsize)
+        return np.frombuffer(pages, dtype=np.float64).reshape(shape, order="F")
+    if out.shape != shape or not out.flags.f_contiguous:
+        raise ValueError(f"band storage must be a Fortran-order {shape} array")
+    out[...] = 0.0
+    return out
+
+
+def _grad2d_curvature_band(d1, d4, d23, n1: int, n2: int, out=None) -> np.ndarray:
+    """LAPACK upper band of the stencil S, bandwidth n1."""
+    offsets, diags = _grad2d_curvature_diagonals(d1, d4, d23, n1, n2)
+    ab = _band_storage(out, (n1 + 1, n1 * n2))
+    for k, row in zip(offsets, diags):
+        ab[n1 - k] = row
     return ab
+
+
+def stencil_matrix(offsets, diags: np.ndarray, scale: float = 1.0, shift: float = 0.0) -> dia_array:
+    """scale*S + shift*I as a sparse DIA matrix, for the symmetric S whose
+    upper diagonals ``(offsets, diags)`` a ``curvature_diagonals`` kernel
+    returns; the lower diagonals are the upper ones moved left."""
+    n = diags.shape[1]
+    lower = np.zeros((len(offsets) - 1, n))
+    for row, k, upper in zip(lower, offsets[1:], diags[1:]):
+        row[: n - k] = upper[k:]
+    data = np.concatenate((diags, lower))
+    if scale != 1.0:
+        data *= scale
+    data[0] += shift
+    return dia_array((data, [*offsets, *(-k for k in offsets[1:])]), shape=(n, n))
 
 
 def make_gradient2d(n1: int, n2: int) -> LinearOperator:
@@ -234,7 +293,10 @@ def make_gradient2d(n1: int, n2: int) -> LinearOperator:
         field="complex",
         apply=lambda z: _grad2d_synthesis(z, n1, n2),
         adjoint_apply=lambda x: _grad2d_analysis(x, n1, n2),
-        curvature_band=lambda d1, d4, d23: _grad2d_curvature_band(d1, d4, d23, n1, n2),
+        curvature_band=lambda d1, d4, d23, out=None: _grad2d_curvature_band(
+            d1, d4, d23, n1, n2, out
+        ),
+        curvature_diagonals=lambda d1, d4, d23: _grad2d_curvature_diagonals(d1, d4, d23, n1, n2),
         fast_synth_real=lambda p, q: _grad2d_synth_channels(p, q, n1, n2),
         fast_analysis_parts=lambda v: _grad2d_channels(v, n1, n2),
     )
@@ -243,11 +305,6 @@ def make_gradient2d(n1: int, n2: int) -> LinearOperator:
 # ---------------------------------------------------------------------------
 # Partial orthonormal 2D DCT
 # ---------------------------------------------------------------------------
-
-
-def _require_power_of_two(k: int, what: str) -> None:
-    if k < 2 or (k & (k - 1)) != 0:
-        raise ValueError(f"{what} must be a power of two >= 2, got {k}")
 
 
 def make_partial_dct2(n1: int, n2: int, mask: SamplingMask) -> LinearOperator:
@@ -273,49 +330,6 @@ def make_partial_dct2(n1: int, n2: int, mask: SamplingMask) -> LinearOperator:
 
 
 # ---------------------------------------------------------------------------
-# Partial 0/1 Walsh basis
-# ---------------------------------------------------------------------------
-
-
-def _fwht(x: np.ndarray) -> np.ndarray:
-    """Fast Hadamard transform, Sylvester (natural) ordering, +-1 entries."""
-    a = np.array(x, dtype=np.float64)
-    n = a.shape[0]
-    h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a = np.stack((top, bot), axis=1).reshape(n)
-        h *= 2
-    return a
-
-
-def make_partial_walsh01(n: int, mask: SamplingMask) -> LinearOperator:
-    """Selected rows of (H + 1)/2, H the +-1 Hadamard matrix of order n.
-
-    Applied as half the fast Hadamard transform plus half the all-ones
-    rank-one term, so nothing dense is ever stored.
-    """
-    _require_power_of_two(n, "n")
-    idx = mask.selected_indices
-    if idx[-1] >= n:
-        raise ValueError("mask indices exceed transform size")
-    m = len(mask)
-
-    def apply(x):
-        x = np.asarray(x, dtype=np.float64)
-        return 0.5 * (_fwht(x)[idx] + x.sum())
-
-    def adjoint_apply(v):
-        full = np.zeros(n)
-        full[idx] = v
-        return 0.5 * (_fwht(full) + full.sum())
-
-    return LinearOperator(rows=m, cols=n, field="real", apply=apply, adjoint_apply=adjoint_apply)
-
-
-# ---------------------------------------------------------------------------
 # Dense operators and helpers
 # ---------------------------------------------------------------------------
 
@@ -330,11 +344,11 @@ def make_dense_dictionary(entries: np.ndarray, field: str = "real") -> LinearOpe
     rows, cols = mat.shape
     re, im = mat.real, mat.imag
 
-    def curvature_band(d1, d4, d23):
+    def curvature_band(d1, d4, d23, out=None):
         cross = (re * d23) @ im.T
         s = (re * d1) @ re.T + (im * d4) @ im.T - cross - cross.T
         i, j = np.triu_indices(rows)  # full band: (i, j) at ab[rows - 1 + i - j, j]
-        ab = np.zeros((rows, rows), order="F")
+        ab = _band_storage(out, (rows, rows))
         ab[rows - 1 + i - j, j] = s[i, j]
         return ab
 

@@ -9,10 +9,16 @@ and yields a target that is either
     ``curvature_band`` kernel writes the LAPACK band of sym(Bt) from the
     Newton system's diagonals (2D gradients give a 7-diagonal stencil with
     the pixel-column stride as bandwidth), or
-  * applied approximately by a fixed number of plain CG iterations when
-    only operator actions are available.
+  * applied approximately by a fixed number of plain CG iterations on the
+    Newton system's ``ntilde_action``: one sparse product of the target,
+    assembled once per system, when the dictionary has a
+    ``curvature_diagonals`` stencil (2D gradients), and an analysis, a
+    diagonal scaling and a synthesis otherwise.
 
-The band is shifted and factorized in place.  The factor's input is
+The band is shifted and factorized in place, in the storage of the
+previous factor when the caller hands it over (``release_band``), as the
+solver does from each outer iteration to the next, so one band's storage
+serves a whole continuation stage.  The factor's input is
 checked for finite values, the back-solve's is not: PCG rejects a
 non-finite preconditioned residual itself.
 
@@ -51,19 +57,27 @@ class Preconditioner:
     action: Optional[Callable[[np.ndarray], np.ndarray]]
     rebuilds: int = 0
     inner: int = 0
+    band: Optional[np.ndarray] = None  # the banded Cholesky factor, exact_banded only
+
+    def release_band(self) -> Optional[np.ndarray]:
+        """Hand the factor's storage to the next build, which overwrites it;
+        this preconditioner has no action afterwards."""
+        band, self.band, self.action = self.band, None, None
+        return band
 
 
-def build_for_system(system, mode: str, rho: float, inner: int = 15) -> Preconditioner:
+def build_for_system(
+    system, mode: str, rho: float, inner: int = 15, band: Optional[np.ndarray] = None
+) -> Preconditioner:
     """Build the preconditioner for one Newton system (duck-typed
-    ``NewtonSystem`` from the solver module)."""
+    ``NewtonSystem`` from the solver module).  ``exact_banded`` writes its
+    band into ``band`` when given, the storage of a released factor of the
+    same shape; the other modes ignore it."""
     if mode == "none":
         return Preconditioner("none", rho, None)
 
-    c = system.obj.c
     if mode == "truncated_cg":
-
-        def n_action(v, _rho=rho):
-            return system.ntilde_matvec(v, _rho)
+        n_action = system.ntilde_action(rho)
 
         def apply_approx(r):
             return pcg_solve(n_action, r, None, eta=0.0, cap=inner).solution
@@ -71,18 +85,20 @@ def build_for_system(system, mode: str, rho: float, inner: int = 15) -> Precondi
         return Preconditioner("truncated_cg", rho, apply_approx, inner=inner)
 
     if mode == "exact_banded":
-        band = system.obj.W.curvature_band
-        if band is None:
+        write_band = system.obj.W.curvature_band
+        if write_band is None:
             raise ValueError("exact banded preconditioning needs a dictionary "
                              "with a curvature band kernel (2D gradient or dense)")
+        c = system.obj.c
         rho_eff = rho
         for rebuilds in range(_MAX_SHIFT_DOUBLINGS):
-            # the factor overwrites the band, so each shift starts afresh
-            ab = band(system.d1, system.d4, system.d23)
-            ab *= c
-            ab[-1] += rho_eff
+            # the factor overwrites the band, so each shift rewrites it
+            # into the same storage
+            band = write_band(system.d1, system.d4, system.d23, out=band)
+            band *= c
+            band[-1] += rho_eff
             try:
-                cb = cholesky_banded(ab, overwrite_ab=True, lower=False)
+                cb = cholesky_banded(band, overwrite_ab=True, lower=False)
                 break
             except np.linalg.LinAlgError:
                 rho_eff *= 2.0
@@ -94,6 +110,7 @@ def build_for_system(system, mode: str, rho: float, inner: int = 15) -> Precondi
             rho_eff,
             lambda r: cho_solve_banded((cb, False), r, check_finite=False),
             rebuilds=rebuilds,
+            band=cb,
         )
 
     raise ValueError(f"unknown preconditioner mode {mode!r}")
@@ -141,11 +158,12 @@ def spectrum_report(system, rho: float, nu: float) -> SpectrumReport:
 
     bd = np.empty((n, n))
     nd = np.empty((n, n))
+    ntilde = system.ntilde_action(rho)
     e = np.zeros(n)
     for j in range(n):
         e[j] = 1.0
         bd[:, j] = system.bhat_matvec(e)
-        nd[:, j] = system.ntilde_matvec(e, rho)
+        nd[:, j] = ntilde(e)
         e[j] = 0.0
     bd = 0.5 * (bd + bd.T)
     nd = 0.5 * (nd + nd.T)

@@ -4,8 +4,9 @@ One outer iteration, at the current primal x and box-constrained duals
 (g_re, g_im):
 
   1. build the symmetrized primal-dual matrix Bhat = c*sym(Bt) + A^T A
-     as a matrix-free action and solve Bhat dx = -grad f with PCG until
-     ||Bhat dx + grad f|| <= eta ||grad f||;
+     as an action (sym(Bt) as an assembled sparse stencil for 2D
+     gradients, matrix-free otherwise) and solve Bhat dx = -grad f with
+     PCG until ||Bhat dx + grad f|| <= eta ||grad f||;
   2. take the full dual step and project the complex duals onto the
      componentwise unit ball, which keeps Bhat positive definite;
   3. backtrack on the primal step with the curvature term dx^T Bhat dx,
@@ -30,12 +31,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .krylov import NonFiniteError, pcg_solve
-from .linops import analysis_parts, synth_real
+from .linops import analysis_parts, stencil_matrix, synth_real
 from .precond import build_for_system
 from .smoothing import SmoothedObjective, build_D, huber_value
 
@@ -120,6 +121,7 @@ class IterationRecord:
     dual_box: float
     accepted: bool
     pcg_converged: bool
+    max_residual_drift: float
     energy_explicit: Optional[float] = None
     pcg_residual: Optional[float] = None
 
@@ -179,12 +181,18 @@ def project_linf(u: np.ndarray) -> np.ndarray:
 
 
 class NewtonSystem:
-    """Matrix-free actions of one primal-dual Newton system.
+    """Actions of one primal-dual Newton system.
 
     Freezes the diagonal data (D, the two cross couplings and the three
     diagonals of sym(Bt)) at a given (x, g_re, g_im), then exposes the
     symmetrized curvature action, the full Bhat action, the shifted
     preconditioner target action and the affine dual step.
+
+    When the dictionary has a ``curvature_diagonals`` kernel (the 2D
+    gradient), sym(Bt) is assembled once, as a sparse 7-diagonal stencil,
+    and each curvature action is one sparse product.  Other dictionaries
+    (dense, zero) apply it matrix-free, as an analysis, a diagonal
+    scaling and a synthesis; assembling their S would cost O(n^2 l).
     """
 
     def __init__(self, obj: SmoothedObjective, x: np.ndarray, g_re: np.ndarray, g_im: np.ndarray):
@@ -204,6 +212,11 @@ class NewtonSystem:
         self.d4 = self.d * (1.0 - self.d * self.g_im * self.ix)
         self.d23 = -0.5 * self.d * (self.b2 + self.b3)
         self._real_w = W.field == "real"
+        self._stencil = None
+        self._symb = None
+        if W.curvature_diagonals is not None:
+            self._stencil = W.curvature_diagonals(self.d1, self.d4, self.d23)
+            self._symb = stencil_matrix(*self._stencil)
 
     @classmethod
     def at_central_duals(cls, obj: SmoothedObjective, x: np.ndarray) -> NewtonSystem:
@@ -215,6 +228,8 @@ class NewtonSystem:
 
     def symb_matvec(self, v: np.ndarray) -> np.ndarray:
         """Action of sym(Bt), the symmetrized dual-coupled curvature."""
+        if self._symb is not None:
+            return self._symb @ v
         W = self.obj.W
         rv, iv = analysis_parts(W, v)
         if self._real_w:
@@ -227,9 +242,14 @@ class NewtonSystem:
         A = self.obj.A
         return self.obj.c * self.symb_matvec(v) + A.adjoint_apply(A.apply(v))
 
-    def ntilde_matvec(self, v: np.ndarray, rho: float) -> np.ndarray:
-        """Action of the preconditioner target c*sym(Bt) + rho*I."""
-        return self.obj.c * self.symb_matvec(v) + rho * v
+    def ntilde_action(self, rho: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The action of the preconditioner target c*sym(Bt) + rho*I; with
+        a stencil it is assembled here, so each call is one sparse product."""
+        c = self.obj.c
+        if self._stencil is None:
+            return lambda v: c * self.symb_matvec(v) + rho * v
+        ntilde = stencil_matrix(*self._stencil, scale=c, shift=rho)
+        return lambda v: ntilde @ v
 
     def dual_step(self, dx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Affine dual increments for a given primal direction."""
@@ -312,6 +332,7 @@ def solve_subproblem(
     state.g_re, state.g_im = np.real(g0), np.imag(g0)
 
     counters = state.counters
+    pre = None
     grad, gnorm = _grad_and_norm(obj, state.x, counters)
     tol = config.grad_tol * max(1.0, gnorm)
     state.converged = gnorm <= tol
@@ -325,8 +346,9 @@ def solve_subproblem(
         system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
         if config.snapshot_every > 0 and state.outer_iter % config.snapshot_every == 0:
             state.snapshots.append(SystemSnapshot(stage, state.outer_iter, system))
-        pre = None  # drop the previous factor before the next one is built
-        pre = build_for_system(system, config.precond_mode, config.rho, config.precond_inner)
+        # the next factor is written into the previous one's storage
+        band = pre.release_band() if pre is not None else None
+        pre = build_for_system(system, config.precond_mode, config.rho, config.precond_inner, band)
         eta_k = config.eta
         if config.eta_schedule == "decreasing":
             eta_k = min(config.eta, float(np.sqrt(gnorm)))
@@ -388,6 +410,7 @@ def solve_subproblem(
                 dual_box=dual_box,
                 accepted=ls.accepted,
                 pcg_converged=outcome.converged,
+                max_residual_drift=outcome.max_residual_drift,
                 energy_explicit=energy_explicit,
                 pcg_residual=pcg_residual,
             )

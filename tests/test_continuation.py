@@ -179,6 +179,26 @@ def test_run_continuation_precond_switch_on(precond_modes, mode, enable_mu, firs
         assert modes == {mode if s >= first_on else "none"}
 
 
+def test_one_band_storage_serves_each_stage(monkeypatch):
+    # each factor is written into the storage of the one before it
+    bands = []
+    build = csnewton.solver.build_for_system
+
+    def spy(*args, **kwargs):
+        pre = build(*args, **kwargs)
+        bands.append(pre.band)
+        return pre
+
+    monkeypatch.setattr(csnewton.solver, "build_for_system", spy)
+    obj = small_itv_objective(1e-2, 1e-5)
+    sched = make_schedule(1e-2, 1e-5, precond_enable_mu=1.0)
+    state = run_continuation(obj, SolverConfig(max_outer=3, precond_mode="exact_banded"), sched)
+    assert len(bands) == len(state.trace)
+    for s in range(6):
+        stage = [band for band, r in zip(bands, state.trace) if r.stage == s]
+        assert len(stage) >= 2 and all(band is stage[0] for band in stage)
+
+
 def phantom_continuation(n1, n2, mu):
     """Default exact-banded continuation to (1e-2, mu) on the noiseless
     phantom from 25% of its DCT coefficients."""

@@ -51,7 +51,8 @@ def record(stage=0, it=1, f=1.0, gnorm=1.0, gnorm_in=1.0, box=1.0, e_expl=None,
     return IterationRecord(
         stage=stage, outer_iter=it, f=f, grad_norm=gnorm, grad_norm_in=gnorm_in,
         pcg_iters=3, alpha=1.0, backtracks=0, wall_time=0.0, eta=eta, energy=-gdx,
-        grad_dot_dx=gdx, dual_box=box, accepted=True, pcg_converged=True, energy_explicit=e_expl,
+        grad_dot_dx=gdx, dual_box=box, accepted=True, pcg_converged=True, max_residual_drift=0.0,
+        energy_explicit=e_expl,
         pcg_residual=resid,
     )
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.fft import dctn, idctn
-from scipy.linalg import hadamard
 
 from csnewton.linops import (
+    analysis_parts,
     LinearOperator,
     SamplingMask,
     estimate_delta,
@@ -12,7 +12,8 @@ from csnewton.linops import (
     make_gradient2d,
     make_mask,
     make_partial_dct2,
-    make_partial_walsh01,
+    stencil_matrix,
+    synth_real,
     to_dense,
 )
 
@@ -107,6 +108,49 @@ def test_gradient2d_adjoint_and_curvature_band(n1, n2):
          + dh.T @ sp.diags(d23) @ dv + dv.T @ sp.diags(d23) @ dh)
     for k in range(n1 + 1):
         assert ab[n1 - k, k:].tobytes() == s.diagonal(k).tobytes()
+
+
+def _parent_curvature_band(d1, d4, d23, n1, n2):
+    """The band writer the stencil kernel replaced, kept verbatim as the
+    bit-for-bit reference of ``curvature_band``."""
+    ah, av, ac = d1.copy(), d4.copy(), d23.copy()
+    ah[-n1:] = ac[-n1:] = 0.0
+    av[n1 - 1 :: n1] = ac[n1 - 1 :: n1] = 0.0
+    ab = np.zeros((n1 + 1, n1 * n2), order="F")
+    h, v = ah.copy(), av.copy()
+    h[n1:] += ah[:-n1]
+    v[1:] += av[:-1]
+    ab[n1] = h + v + ac + ac
+    ab[n1 - 1, 1:] -= av[:-1] + ac[:-1]
+    ab[1, n1:] += ac[:-n1]
+    ab[0, n1:] -= ah[:-n1] + ac[:-n1]
+    return ab
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 5), (5, 2), (24, 40), (40, 24), (64, 64)])
+def test_gradient2d_stencil_matches_analysis_synthesis(n1, n2):
+    rng = np.random.default_rng(7)
+    W = make_gradient2d(n1, n2)
+    n = n1 * n2
+    d1, d4, d23 = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n), rng.uniform(-1.0, 1.0, n)
+    offsets, diags = W.curvature_diagonals(d1, d4, d23)
+    assert offsets == sorted(set(offsets)) and offsets[0] == 0  # n1 = 2 merges 1 and n1-1
+    stencil = stencil_matrix(offsets, diags)
+    c, rho = 0.3, 0.7
+    shifted = stencil_matrix(offsets, diags, scale=c, shift=rho)
+    for v in rng.standard_normal((3, n)):
+        r, i = analysis_parts(W, v)
+        ref = synth_real(W, d1 * r + d23 * i, d4 * i + d23 * r)
+        assert np.linalg.norm(stencil @ v - ref) <= 1e-14 * np.linalg.norm(ref)
+        ref = c * ref + rho * v
+        assert np.linalg.norm(shifted @ v - ref) <= 1e-14 * np.linalg.norm(ref)
+    reference = _parent_curvature_band(d1, d4, d23, n1, n2)
+    ab = W.curvature_band(d1, d4, d23)
+    assert ab.flags.f_contiguous and ab.tobytes() == reference.tobytes()
+    # written into used storage, the band is the same bits
+    used = np.asfortranarray(rng.standard_normal(ab.shape))
+    assert W.curvature_band(d1, d4, d23, out=used) is used
+    assert used.tobytes() == reference.tobytes()
 
 
 def _grad_channels_fortran(x, n1, n2):
@@ -218,36 +262,6 @@ def test_partial_dct2_any_image_size(n1, n2):
 
 
 # ---------------------------------------------------------------------------
-# partial 0/1 Walsh
-# ---------------------------------------------------------------------------
-
-
-def test_walsh01_dense_entries_are_binary():
-    n = 8
-    A = make_partial_walsh01(n, make_mask(n, n, seed=0))
-    dense = to_dense(A)
-    assert np.all((dense == 0.0) | (dense == 1.0))
-    # first row of (H+1)/2 is all ones
-    np.testing.assert_array_equal(dense[0], np.ones(n))
-
-
-def test_walsh01_matches_dense_oracle():
-    rng = np.random.default_rng(3)
-    n = 64
-    mask = make_mask(n, 16, seed=11)
-    A = make_partial_walsh01(n, mask)
-    dense = ((hadamard(n) + 1) / 2)[mask.selected_indices, :]
-    x = rng.standard_normal(n)
-    np.testing.assert_allclose(A.apply(x), dense @ x, rtol=1e-12)
-    assert_adjoint_consistent(A, rng)
-
-
-def test_walsh01_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        make_partial_walsh01(12, make_mask(12, 4, seed=0))
-
-
-# ---------------------------------------------------------------------------
 # dense dictionary and delta estimate
 # ---------------------------------------------------------------------------
 
@@ -276,15 +290,22 @@ def test_estimate_delta_scaled_identity():
     assert abs(estimate_delta(A, 30) - 3.0) <= 1e-8
 
 
+def random_sensing_operator(n=64, m=16, seed=2):
+    """Seeded Gaussian m x n operator scaled so that A A^T is near I;
+    its delta = ||A A^T - I||_2 is about 1, far from zero."""
+    rng = np.random.default_rng(seed)
+    return make_dense_dictionary(rng.standard_normal((m, n)) / np.sqrt(n))
+
+
 def test_estimate_delta_matches_dense_norm():
-    n, m = 64, 16
-    A = make_partial_walsh01(n, make_mask(n, m, seed=2))
+    A = random_sensing_operator()
     dense = to_dense(A)
-    exact = np.linalg.norm(dense @ dense.T - np.eye(m), 2)
+    exact = np.linalg.norm(dense @ dense.T - np.eye(A.rows), 2)
+    assert exact > 0.5
     assert abs(estimate_delta(A, 300) - exact) <= 1e-6 * max(1.0, exact)
 
 
 def test_estimate_delta_monotone_in_iterations():
-    A = make_partial_walsh01(64, make_mask(64, 16, seed=2))
+    A = random_sensing_operator()
     values = [estimate_delta(A, k) for k in (1, 2, 5, 10, 30)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))

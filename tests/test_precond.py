@@ -54,7 +54,7 @@ def dense_columns(action, n):
 
 
 def dense_ntilde(system, rho):
-    return dense_columns(lambda v: system.ntilde_matvec(v, rho), system.obj.n)
+    return dense_columns(system.ntilde_action(rho), system.obj.n)
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_SYSTEMS))
@@ -95,7 +95,7 @@ def test_exact_banded_apply_then_multiply_is_identity():
     rng = np.random.default_rng(2)
     for _ in range(5):
         r = rng.standard_normal(obj.n)
-        back = system.ntilde_matvec(pre.action(r), pre.rho)
+        back = system.ntilde_action(pre.rho)(pre.action(r))
         np.testing.assert_allclose(back, r, rtol=1e-10, atol=1e-12)
 
 
@@ -107,7 +107,7 @@ def test_truncated_cg_dominant_shift_limit():
     assert pre.inner == 15
     rng = np.random.default_rng(3)
     r = rng.standard_normal(obj.n)
-    back = system.ntilde_matvec(pre.action(r), pre.rho)
+    back = system.ntilde_action(pre.rho)(pre.action(r))
     assert np.linalg.norm(back - r) <= 1e-4 * np.linalg.norm(r)
 
 
@@ -128,17 +128,33 @@ def test_preconditioner_action_symmetric_positive():
             assert z @ pre.action(z) > 0.0
 
 
+def test_second_build_reuses_the_released_band():
+    _, first_system = itv_system(n1=8, n2=4)
+    first = build_for_system(first_system, "exact_banded", rho=0.5)
+    band = first.release_band()
+    assert first.band is None and first.action is None
+    _, system = itv_system(n1=8, n2=4, seed=1)
+    second = build_for_system(system, "exact_banded", rho=0.5, band=band)
+    assert second.band is band
+    fresh = build_for_system(system, "exact_banded", rho=0.5)
+    assert fresh.band is not band and second.band.tobytes() == fresh.band.tobytes()
+    r = np.random.default_rng(6).standard_normal(system.obj.n)
+    assert second.action(r).tobytes() == fresh.action(r).tobytes()
+
+
 def test_factorization_breakdown_doubles_shift():
     # duals far outside the box make the curvature indefinite; the builder
     # must double rho until the factorization succeeds and flag rebuilds
     obj, system = itv_system(g=None)
+    storage = build_for_system(system, "exact_banded", rho=0.5).release_band()
     bad = 30.0 * (np.ones(obj.n) + 1j * np.ones(obj.n))
     system = NewtonSystem(obj, system.x, np.real(bad), np.imag(bad))
-    pre = build_for_system(system, "exact_banded", rho=1e-8)
+    pre = build_for_system(system, "exact_banded", rho=1e-8, band=storage)
     assert pre.rebuilds >= 1
     assert pre.rho > 1e-8
+    assert pre.band is storage  # every retry rewrote the same storage
     r = np.random.default_rng(5).standard_normal(obj.n)
-    back = system.ntilde_matvec(pre.action(r), pre.rho)
+    back = system.ntilde_action(pre.rho)(pre.action(r))
     np.testing.assert_allclose(back, r, rtol=1e-8, atol=1e-10)
 
 
