@@ -7,7 +7,7 @@ uses to get the line-search curvature term without an extra matvec.
 
 The stopping test is on the unpreconditioned residual, which the CG
 recurrence tracks directly; it is recomputed explicitly every
-``recheck_every`` iterations as a drift guard.
+``RECHECK_EVERY`` iterations as a drift guard.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 __all__ = ["PcgOutcome", "NonFiniteError", "pcg_solve"]
+
+RECHECK_EVERY = 50
 
 
 class NonFiniteError(RuntimeError):
@@ -39,7 +41,6 @@ def pcg_solve(
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     eta: float = 0.1,
     cap: int = 200,
-    recheck_every: int = 50,
 ) -> PcgOutcome:
     """Solve op(x) = rhs to ||op(x) - rhs|| <= eta * ||rhs||, zero start.
 
@@ -56,8 +57,6 @@ def pcg_solve(
         Relative residual tolerance in [0, 1).
     cap : int
         Iteration cap; ``converged=False`` when reached.
-    recheck_every : int
-        Period of the explicit-residual drift check.
 
     Returns
     -------
@@ -92,7 +91,7 @@ def pcg_solve(
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        if k % recheck_every == 0:
+        if k % RECHECK_EVERY == 0:
             r_true = rhs - op(x)
             drift = float(np.linalg.norm(r_true - r)) / max(1.0, float(np.linalg.norm(r_true)))
             max_drift = max(max_drift, drift)

@@ -22,8 +22,9 @@ serves a whole continuation stage.  The factor's input is
 checked for finite values, the back-solve's is not: PCG rejects a
 non-finite preconditioned residual itself.
 
-The fixed inner count keeps the approximate application (numerically) a
-fixed linear action within one outer PCG solve.
+The fixed inner count, ``TRUNCATED_CG_SWEEPS`` (15, the CLI's ``cg15``),
+keeps the approximate application (numerically) a fixed linear action
+within one outer PCG solve.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ __all__ = [
 ]
 
 _MAX_SHIFT_DOUBLINGS = 60
+TRUNCATED_CG_SWEEPS = 15
 
 
 @dataclass
 class Preconditioner:
     """A fixed SPD linear action z -> approx (c*sym(Bt) + rho*I)^{-1} z."""
 
-    mode: str
     rho: float
     action: Optional[Callable[[np.ndarray], np.ndarray]]
     rebuilds: int = 0
@@ -67,22 +68,22 @@ class Preconditioner:
 
 
 def build_for_system(
-    system, mode: str, rho: float, inner: int = 15, band: Optional[np.ndarray] = None
+    system, mode: str, rho: float, band: Optional[np.ndarray] = None
 ) -> Preconditioner:
     """Build the preconditioner for one Newton system (duck-typed
     ``NewtonSystem`` from the solver module).  ``exact_banded`` writes its
     band into ``band`` when given, the storage of a released factor of the
     same shape; the other modes ignore it."""
     if mode == "none":
-        return Preconditioner("none", rho, None)
+        return Preconditioner(rho, None)
 
     if mode == "truncated_cg":
         n_action = system.ntilde_action(rho)
 
         def apply_approx(r):
-            return pcg_solve(n_action, r, None, eta=0.0, cap=inner).solution
+            return pcg_solve(n_action, r, None, eta=0.0, cap=TRUNCATED_CG_SWEEPS).solution
 
-        return Preconditioner("truncated_cg", rho, apply_approx, inner=inner)
+        return Preconditioner(rho, apply_approx, inner=TRUNCATED_CG_SWEEPS)
 
     if mode == "exact_banded":
         write_band = system.obj.W.curvature_band
@@ -106,7 +107,6 @@ def build_for_system(
             raise np.linalg.LinAlgError("banded factorization failed at every shift")
 
         return Preconditioner(
-            "exact_banded",
             rho_eff,
             lambda r: cho_solve_banded((cb, False), r, check_finite=False),
             rebuilds=rebuilds,

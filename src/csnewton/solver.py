@@ -54,6 +54,8 @@ __all__ = [
     "fresh_state",
 ]
 
+MAX_BACKTRACKS = 200  # 0.9**200 ~ 7e-10; each trial costs O(l + m), no operator call
+
 
 class NegativeCurvatureError(RuntimeError):
     """PCG met a direction with nonpositive curvature; the duals were invalid."""
@@ -61,19 +63,20 @@ class NegativeCurvatureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunables of the Newton loop; defaults follow the reference tuning."""
+    """Tunables of the Newton loop; defaults follow the reference tuning.
+
+    pdNCG converges for Newton directions solved to the forcing term eta,
+    so PCG's cap, 10 * n iterations (scipy's ``cg`` default), is derived
+    from the problem and only stops a solve that never ends."""
 
     eta: float = 1.0e-1
     tau1: float = 9.0e-1
     tau2: float = 1.0e-3
-    max_backtracks: int = 200  # 0.9**200 ~ 7e-10; each trial costs O(l + m), no operator call
     rho: float = 5.0e-1
     grad_tol: float = 1.0e-6
     max_outer: int = 100
     precond_mode: str = "none"  # none | exact_banded | truncated_cg
-    precond_inner: int = 15
     eta_schedule: str = "fixed"  # fixed | decreasing
-    pcg_cap: int = 200
     audit: bool = False
     snapshot_every: int = 0
 
@@ -84,18 +87,12 @@ class SolverConfig:
             raise ValueError("tau1 must lie in (0, 1)")
         if not 0.0 < self.tau2 < 0.5:
             raise ValueError("tau2 must lie in (0, 1/2)")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be nonnegative")
         if self.rho <= 0.0:
             raise ValueError("rho must be positive")
         if self.precond_mode not in ("none", "exact_banded", "truncated_cg"):
             raise ValueError(f"unknown precond_mode {self.precond_mode!r}")
         if self.eta_schedule not in ("fixed", "decreasing"):
             raise ValueError(f"unknown eta_schedule {self.eta_schedule!r}")
-        if self.precond_inner < 1:
-            raise ValueError("precond_inner must be >= 1")
-        if self.pcg_cap < 1:
-            raise ValueError("pcg_cap must be >= 1")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
         if self.grad_tol < 0.0:
@@ -116,7 +113,6 @@ class IterationRecord:
     backtracks: int
     wall_time: float
     eta: float
-    energy: float
     grad_dot_dx: float
     dual_box: float
     accepted: bool
@@ -348,12 +344,12 @@ def solve_subproblem(
             state.snapshots.append(SystemSnapshot(stage, state.outer_iter, system))
         # the next factor is written into the previous one's storage
         band = pre.release_band() if pre is not None else None
-        pre = build_for_system(system, config.precond_mode, config.rho, config.precond_inner, band)
+        pre = build_for_system(system, config.precond_mode, config.rho, band)
         eta_k = config.eta
         if config.eta_schedule == "decreasing":
             eta_k = min(config.eta, float(np.sqrt(gnorm)))
 
-        outcome = pcg_solve(system.bhat_matvec, -grad, pre.action, eta_k, config.pcg_cap)
+        outcome = pcg_solve(system.bhat_matvec, -grad, pre.action, eta_k, 10 * obj.n)
         counters.pcg_iters += outcome.iterations
         # one inner CG sweep per preconditioned residual (iterations + initial);
         # pre.inner is 0 unless the preconditioner runs truncated CG
@@ -381,7 +377,7 @@ def solve_subproblem(
 
         counters.obj_evals += 1
         ls = line_search(
-            obj, state.x, system.y, dx, energy, config.tau1, config.tau2, config.max_backtracks
+            obj, state.x, system.y, dx, energy, config.tau1, config.tau2, MAX_BACKTRACKS
         )
         counters.obj_evals += ls.backtracks + 1
         if not ls.accepted and energy_explicit is None:
@@ -405,7 +401,6 @@ def solve_subproblem(
                 backtracks=ls.backtracks,
                 wall_time=time.perf_counter() - t0,
                 eta=eta_k,
-                energy=energy,
                 grad_dot_dx=grad_dot_dx,
                 dual_box=dual_box,
                 accepted=ls.accepted,

@@ -199,13 +199,21 @@ def test_one_band_storage_serves_each_stage(monkeypatch):
         assert len(stage) >= 2 and all(band is stage[0] for band in stage)
 
 
-def phantom_continuation(n1, n2, mu):
-    """Default exact-banded continuation to (1e-2, mu) on the noiseless
-    phantom from 25% of its DCT coefficients."""
+def phantom_continuation(n1, n2, mu, config=SolverConfig(precond_mode="exact_banded")):
+    """Continuation to (1e-2, mu) on the noiseless phantom from 25% of its
+    DCT coefficients, exact-banded unless ``config`` says otherwise."""
     inst = make_itv_instance(shepp_logan(n1, n2), 0.25, float("inf"), seed=0)
     obj = SmoothedObjective(c=1e-2, mu=mu, A=inst.A, W=inst.W, b=inst.b)
-    config = SolverConfig(precond_mode="exact_banded")
     return run_continuation(obj, config, make_schedule(1e-2, mu))
+
+
+def test_default_config_continuation_converges():
+    # unpreconditioned Newton systems at mu = 1e-5 need thousands of PCG
+    # iterations; a PCG cap that binds leaves the final stage unconverged
+    state = phantom_continuation(20, 20, 1e-5, SolverConfig())
+    assert state.converged
+    assert all(r.pcg_converged for r in state.trace)
+    assert check_solver_invariants(state.trace).violations == []
 
 
 @pytest.mark.parametrize("n1, n2", [(24, 40), (40, 24), (30, 30)])

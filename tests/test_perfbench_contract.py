@@ -62,3 +62,10 @@ def test_tracing_leaves_the_solve_unchanged(solves):
     assert plain.x.tobytes() == traced.x.tobytes()
     assert plain.counters == traced.counters
     assert traced.counters.total_matvecs() > 0
+
+
+def test_krylov_counts_match_the_trace(solves):
+    _, traced, totals = solves
+    infos = totals["krylov.pcg"].infos
+    assert sum(i["iters"] for i in infos) == sum(r.pcg_iters for r in traced.trace)
+    assert sum(i["capped"] for i in infos) == sum(not r.pcg_converged for r in traced.trace)

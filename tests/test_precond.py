@@ -103,7 +103,7 @@ def test_truncated_cg_dominant_shift_limit():
     # with rho = 1e6 the target is essentially rho*I, so 15 inner CG
     # iterations invert it to high accuracy
     obj, system = itv_system()
-    pre = build_for_system(system, "truncated_cg", rho=1e6, inner=15)
+    pre = build_for_system(system, "truncated_cg", rho=1e6)
     assert pre.inner == 15
     rng = np.random.default_rng(3)
     r = rng.standard_normal(obj.n)
@@ -115,7 +115,7 @@ def test_preconditioner_action_symmetric_positive():
     obj, system = itv_system(n1=8, n2=8, mu=1e-3)
     rng = np.random.default_rng(4)
     for mode in ("exact_banded", "truncated_cg"):
-        pre = build_for_system(system, mode, rho=0.5, inner=15)
+        pre = build_for_system(system, mode, rho=0.5)
         for _ in range(20):
             z = rng.standard_normal(obj.n)
             u = rng.standard_normal(obj.n)

@@ -27,9 +27,9 @@ def small_instance(rng, n=16, m=10, mu=1e-2, c=0.1, complex_w=False, l=None):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("eta", 1.0), ("tau1", 0.0), ("tau2", 0.5), ("max_backtracks", -1), ("rho", 0.0),
-    ("precond_mode", "bogus"), ("eta_schedule", "bogus"), ("precond_inner", 0),
-    ("pcg_cap", 0), ("max_outer", 0), ("max_outer", -1), ("grad_tol", -1.0),
+    ("eta", 1.0), ("tau1", 0.0), ("tau2", 0.5), ("rho", 0.0),
+    ("precond_mode", "bogus"), ("eta_schedule", "bogus"),
+    ("max_outer", 0), ("max_outer", -1), ("grad_tol", -1.0),
     ("snapshot_every", -3),
 ])
 def test_solver_config_rejects_out_of_range(field, value):
@@ -212,13 +212,13 @@ def test_rejected_line_search_leaves_x(monkeypatch):
     search = csnewton.solver.line_search
 
     def spy(obj, x, *args):
-        res = search(obj, x, *args)
+        res = search(obj, x, *args[:-1], 0)
         calls.append((x.copy(), res))
         return res
 
     monkeypatch.setattr(csnewton.solver, "line_search", spy)
     obj = small_instance(np.random.default_rng(0), mu=1e-4)
-    state = solve_subproblem(obj, SolverConfig(max_outer=30, max_backtracks=0))
+    state = solve_subproblem(obj, SolverConfig(max_outer=30))
     assert state.converged
     rejected = [i for i, (_, res) in enumerate(calls) if not res.accepted]
     assert rejected and rejected[-1] < len(calls) - 1
@@ -288,10 +288,12 @@ def test_trace_invariants_on_healthy_run():
     for stage in {r.stage for r in state.trace}:
         fs = [r.f for r in state.trace if r.stage == stage]
         assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(fs, fs[1:]))
-        # sufficient decrease as accepted: f_new <= f_prev - tau2*alpha*energy
+        # sufficient decrease as accepted: f_new <= f_prev - tau2*alpha*energy,
+        # with the zero-start CG energy dx^T Bhat dx = -grad_dot_dx
         recs = [r for r in state.trace if r.stage == stage]
         for prev, rec in zip(fs, recs[1:]):
-            assert rec.f <= prev - 1e-3 * rec.alpha * rec.energy + 1e-10 * max(1.0, abs(prev))
+            energy = -rec.grad_dot_dx
+            assert rec.f <= prev - 1e-3 * rec.alpha * energy + 1e-10 * max(1.0, abs(prev))
     assert all(r.dual_box <= 1.0 + 1e-12 for r in state.trace)
     for r in state.trace:
         assert abs(r.energy_explicit + r.grad_dot_dx) <= 1e-8 * max(1.0, abs(r.grad_dot_dx))
