@@ -26,7 +26,7 @@ import numpy as np
 from . import diagnostics
 from .continuation import make_schedule, run_continuation
 from .linops import make_dense_dictionary, make_gradient2d
-from .precond import spectrum_report
+from .precond import RHO, spectrum_report
 from .problems import ProblemInstance, make_itv_instance, psnr, relative_error, shepp_logan
 from .smoothing import SmoothedObjective
 from .solver import SolverConfig, solve_subproblem
@@ -101,9 +101,6 @@ _CONFIG_KEYS = {
     "c": float,
     "mu": float,
     "eta": float,
-    "tau1": float,
-    "tau2": float,
-    "rho": float,
     "precond": str,  # none | exact | cg15
     "continuation": str,  # on | off
     "seed": int,
@@ -121,9 +118,6 @@ _DEFAULTS = {
     "c": 1.0e-2,
     "mu": 1.0e-5,
     "eta": 1.0e-1,
-    "tau1": 9.0e-1,
-    "tau2": 1.0e-3,
-    "rho": 5.0e-1,
     "precond": "none",
     "continuation": "on",
     "seed": 0,
@@ -192,9 +186,6 @@ def _build_problem(cfg):
 def _solver_config(cfg, audit: bool, snapshot_every: int = 0) -> SolverConfig:
     return SolverConfig(
         eta=cfg["eta"],
-        tau1=cfg["tau1"],
-        tau2=cfg["tau2"],
-        rho=cfg["rho"],
         grad_tol=cfg["grad_tol"],
         max_outer=cfg["max_outer"],
         precond_mode=_PRECOND_MODES[cfg["precond"]],
@@ -203,11 +194,9 @@ def _solver_config(cfg, audit: bool, snapshot_every: int = 0) -> SolverConfig:
     )
 
 
-def _run_solve(cfg, audit_small: bool = True, snapshot_every: int = 0) -> tuple:
-    inst, image = _build_problem(cfg)
-    n = inst.A.cols
-    audit = audit_small and n <= 4096
-    config = _solver_config(cfg, audit, snapshot_every)
+def _run_solve(cfg, inst: ProblemInstance, snapshot_every: int = 0) -> tuple:
+    """Solve the built problem; audit mode is on for n <= 4096."""
+    config = _solver_config(cfg, inst.A.cols <= 4096, snapshot_every)
     obj = SmoothedObjective(c=cfg["c"], mu=cfg["mu"], A=inst.A, W=inst.W, b=inst.b)
     t0 = time.perf_counter()
     if cfg["continuation"] == "on":
@@ -216,7 +205,7 @@ def _run_solve(cfg, audit_small: bool = True, snapshot_every: int = 0) -> tuple:
     else:
         state = solve_subproblem(obj, config)
     elapsed = time.perf_counter() - t0
-    return inst, image, obj, state, elapsed
+    return state, elapsed
 
 
 def write_trace_csv(path, trace) -> None:
@@ -254,7 +243,8 @@ def _cmd_solve(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        inst, image, obj, state, elapsed = _run_solve(cfg)
+        inst, image = _build_problem(cfg)
+        state, elapsed = _run_solve(cfg, inst)
     except Exception as exc:  # solver aborts surface as exit 2
         print(f"error: solve aborted: {exc}", file=sys.stderr)
         return 2
@@ -283,13 +273,18 @@ def _cmd_spectrum(args) -> int:
     if args.every < 1:
         print(f"error: --every must be >= 1, got {args.every}", file=sys.stderr)
         return 2
-    n = cfg["size"] ** 2 if cfg["problem"] == "itv" else cfg["size"]
-    if n > 4096:
-        print(f"error: spectrum needs n <= 4096, got {n}", file=sys.stderr)
-        return 2
     nu = args.nu if args.nu is not None else cfg.get("nu", 0.5 / cfg["mu"])
     try:
-        _, _, _, state, _ = _run_solve(cfg, snapshot_every=args.every)
+        inst, _ = _build_problem(cfg)
+    except (OSError, ValueError) as exc:  # an image that cannot be read
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # the size of the problem actually built: a PGM image sets its own
+    if inst.A.cols > 4096:
+        print(f"error: spectrum needs n <= 4096, got {inst.A.cols}", file=sys.stderr)
+        return 2
+    try:
+        state, _ = _run_solve(cfg, inst, snapshot_every=args.every)
     except Exception as exc:
         print(f"error: solve aborted: {exc}", file=sys.stderr)
         return 2
@@ -299,7 +294,7 @@ def _cmd_spectrum(args) -> int:
         writer.writerow(["system", "stage", "iter", "index", "raw_lambda", "precond_lambda",
                          "sigma", "delta", "chi", "bound", "bound_kernel"])
         for sys_idx, snap in enumerate(state.snapshots):
-            rep = spectrum_report(snap.system, cfg["rho"], nu)
+            rep = spectrum_report(snap.system, RHO, nu)
             for i, (raw, pre) in enumerate(zip(rep.raw_eigs, rep.precond_eigs)):
                 writer.writerow(
                     [sys_idx, snap.stage, snap.outer_iter, i, f"{raw:.10e}", f"{pre:.10e}",

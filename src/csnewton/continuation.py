@@ -52,7 +52,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .smoothing import SmoothedObjective
-from .solver import SolverConfig, SolverState, project_linf, solve_subproblem
+from .solver import SolverConfig, SolverState, solve_subproblem
 
 __all__ = [
     "ContinuationSchedule",
@@ -98,7 +98,6 @@ class ContinuationSchedule:
     every mode's ``PRECOND_ENABLE_MU`` entry."""
 
     stages: Tuple[Tuple[float, float], ...]
-    vartheta: int
     precond_enable_mu: Optional[float] = None
 
     def plan(self, config: SolverConfig) -> Tuple[Stage, ...]:
@@ -136,13 +135,13 @@ def make_schedule(
         raise ValueError("continuation targets must be positive")
     vartheta = max(_order_of_magnitude(c_target), _order_of_magnitude(mu_target))
     if vartheta < 2:
-        return ContinuationSchedule(((c_target, mu_target),), vartheta, precond_enable_mu)
+        return ContinuationSchedule(((c_target, mu_target),), precond_enable_mu)
     lc = np.linspace(-1.0, math.log10(c_target), vartheta + 1)
     lm = np.linspace(-1.0, math.log10(mu_target), vartheta + 1)
     stages = [(10.0**a, 10.0**b) for a, b in zip(lc, lm)]
     stages[0] = (1.0e-1, 1.0e-1)
     stages[-1] = (c_target, mu_target)
-    return ContinuationSchedule(tuple(stages), vartheta, precond_enable_mu)
+    return ContinuationSchedule(tuple(stages), precond_enable_mu)
 
 
 def run_continuation(
@@ -168,9 +167,7 @@ def run_continuation(
         config_j = replace(
             config, precond_mode=stage.precond_mode, grad_tol=stage.grad_tol, eta=stage.eta
         )
-        if state is not None:
-            g = project_linf(state.g_re + 1j * state.g_im)
-            state.g_re, state.g_im = np.real(g), np.imag(g)
+        if state is not None:  # solve_subproblem projects the warm-start duals
             state.outer_iter = 0
         try:
             state = solve_subproblem(obj_j, config_j, init=state, stage=j)

@@ -40,7 +40,8 @@ def pcg_solve(
     rhs: np.ndarray,
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     eta: float = 0.1,
-    cap: int = 200,
+    *,
+    cap: int,
 ) -> PcgOutcome:
     """Solve op(x) = rhs to ||op(x) - rhs|| <= eta * ||rhs||, zero start.
 

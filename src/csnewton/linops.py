@@ -140,23 +140,19 @@ class SamplingMask:
         return int(self.selected_indices.size)
 
 
-def make_mask(n: int, m: int, seed: int, include_first: bool = False) -> SamplingMask:
-    """Draw m distinct indices from [0, n) without replacement.
+def make_mask(n: int, m: int, seed: int) -> SamplingMask:
+    """Index 0 plus m - 1 distinct indices drawn from [1, n).
 
     Uses numpy's PCG64 generator so masks are reproducible from the seed.
-    With ``include_first`` index 0 is always selected; partial transforms
-    whose first row spans the constant vector need it so that the
-    measurement operator sees the image mean.
+    Index 0 is always selected: the first row of the partial DCT spans the
+    constant vector, and without it the measurement operator does not see
+    the image mean, which a TV problem then cannot determine.
     """
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
-    if include_first:
-        rest = rng.choice(np.arange(1, n), size=m - 1, replace=False)
-        idx = np.concatenate(([0], rest))
-    else:
-        idx = rng.choice(n, size=m, replace=False)
-    return SamplingMask(np.sort(idx), seed)
+    rest = rng.choice(np.arange(1, n), size=m - 1, replace=False)
+    return SamplingMask(np.sort(np.concatenate(([0], rest))), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The measurement part A^T A of the Newton matrix has a modest spectrum for
 nearly row-orthogonal A, while the smoothed-regularizer part dominates as
-mu shrinks.  Replacing A^T A by rho*I therefore keeps the dominant term
+mu shrinks.  Replacing A^T A by rho*I (``RHO`` = 0.5, the shift the
+solver and ``csnewton spectrum`` use) therefore keeps the dominant term
 and yields a target that is either
 
   * factorized with a symmetric banded Cholesky when the dictionary's
@@ -44,10 +45,12 @@ __all__ = [
     "SpectrumReport",
     "spectrum_report",
     "theorem_bound",
+    "RHO",
 ]
 
 _MAX_SHIFT_DOUBLINGS = 60
 TRUNCATED_CG_SWEEPS = 15
+RHO = 0.5  # the shift rho of the target c*sym(Bt) + rho*I
 
 
 @dataclass

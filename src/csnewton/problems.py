@@ -109,15 +109,13 @@ def make_itv_instance(
     sampling_ratio: float,
     target_psnr: float,
     seed: int,
-    force_dc: bool = True,
 ) -> ProblemInstance:
     """Total-variation instance: 2D gradient dictionary, partial DCT
     measurements of the noisy image.
 
-    The mask always keeps coefficient 0 (the transform's constant row)
-    unless ``force_dc=False``: the gradient dictionary annihilates
-    constants, so the image mean is observable only through that row and
-    dropping it leaves a singular problem.
+    The mask (``make_mask``) always keeps coefficient 0, the transform's
+    constant row: the gradient dictionary annihilates constants, so the
+    image mean is observable only through that row.
     """
     image = np.asarray(image, dtype=np.float64)
     n1, n2 = image.shape
@@ -125,7 +123,7 @@ def make_itv_instance(
     if not 0.0 < sampling_ratio <= 1.0:
         raise ValueError("sampling_ratio must lie in (0, 1]")
     m = max(1, round(sampling_ratio * n))
-    mask = make_mask(n, m, seed + 1, include_first=force_dc)
+    mask = make_mask(n, m, seed + 1)
     A = make_partial_dct2(n1, n2, mask)
     W = make_gradient2d(n1, n2)
     noisy = add_noise_to_psnr(image, target_psnr, seed)

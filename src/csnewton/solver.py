@@ -37,7 +37,7 @@ import numpy as np
 
 from .krylov import NonFiniteError, pcg_solve
 from .linops import analysis_parts, stencil_matrix, synth_real
-from .precond import build_for_system
+from .precond import RHO, build_for_system
 from .smoothing import SmoothedObjective, build_D, huber_value
 
 __all__ = [
@@ -54,7 +54,10 @@ __all__ = [
     "fresh_state",
 ]
 
-MAX_BACKTRACKS = 200  # 0.9**200 ~ 7e-10; each trial costs O(l + m), no operator call
+# Armijo backtracking: trial steps TAU1**j, sufficient decrease TAU2 (the paper's pair)
+TAU1 = 0.9
+TAU2 = 1.0e-3
+MAX_BACKTRACKS = 200  # TAU1**200 ~ 7e-10; each trial costs O(l + m), no operator call
 
 
 class NegativeCurvatureError(RuntimeError):
@@ -65,14 +68,14 @@ class NegativeCurvatureError(RuntimeError):
 class SolverConfig:
     """Tunables of the Newton loop; defaults follow the reference tuning.
 
+    Only settings that some caller varies are fields.  The fixed ones are
+    module constants: the Armijo pair ``TAU1``/``TAU2`` and
+    ``MAX_BACKTRACKS`` here, the preconditioner shift ``precond.RHO``.
     pdNCG converges for Newton directions solved to the forcing term eta,
     so PCG's cap, 10 * n iterations (scipy's ``cg`` default), is derived
     from the problem and only stops a solve that never ends."""
 
     eta: float = 1.0e-1
-    tau1: float = 9.0e-1
-    tau2: float = 1.0e-3
-    rho: float = 5.0e-1
     grad_tol: float = 1.0e-6
     max_outer: int = 100
     precond_mode: str = "none"  # none | exact_banded | truncated_cg
@@ -83,12 +86,6 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 <= self.eta < 1.0:
             raise ValueError("eta must lie in [0, 1)")
-        if not 0.0 < self.tau1 < 1.0:
-            raise ValueError("tau1 must lie in (0, 1)")
-        if not 0.0 < self.tau2 < 0.5:
-            raise ValueError("tau2 must lie in (0, 1/2)")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
         if self.precond_mode not in ("none", "exact_banded", "truncated_cg"):
             raise ValueError(f"unknown precond_mode {self.precond_mode!r}")
         if self.eta_schedule not in ("fixed", "decreasing"):
@@ -270,11 +267,9 @@ def line_search(
     y: np.ndarray,
     dx: np.ndarray,
     energy: float,
-    tau1: float,
-    tau2: float,
     max_backtracks: int,
 ) -> LineSearchResult:
-    """Least j >= 0 with f(x + tau1^j dx) <= f(x) - tau2 tau1^j energy.
+    """Least j >= 0 with f(x + TAU1^j dx) <= f(x) - TAU2 TAU1^j energy.
 
     ``y`` is the cached analysis W* x and ``energy`` the quadratic form
     dx^T Bhat dx (not its square root).  After one W* and two A actions
@@ -293,11 +288,11 @@ def line_search(
 
     f_x = value(0.0)
     for j in range(max_backtracks + 1):
-        a = tau1**j
+        a = TAU1**j
         f_trial = value(a)
         if not np.isfinite(f_trial):
             raise NonFiniteError(f"non-finite objective in line search at j={j}")
-        if f_trial <= f_x - tau2 * a * energy:
+        if f_trial <= f_x - TAU2 * a * energy:
             return LineSearchResult(a, j, True, f_trial)
     return LineSearchResult(0.0, max_backtracks, False, f_x)
 
@@ -344,12 +339,12 @@ def solve_subproblem(
             state.snapshots.append(SystemSnapshot(stage, state.outer_iter, system))
         # the next factor is written into the previous one's storage
         band = pre.release_band() if pre is not None else None
-        pre = build_for_system(system, config.precond_mode, config.rho, band)
+        pre = build_for_system(system, config.precond_mode, RHO, band)
         eta_k = config.eta
         if config.eta_schedule == "decreasing":
             eta_k = min(config.eta, float(np.sqrt(gnorm)))
 
-        outcome = pcg_solve(system.bhat_matvec, -grad, pre.action, eta_k, 10 * obj.n)
+        outcome = pcg_solve(system.bhat_matvec, -grad, pre.action, eta_k, cap=10 * obj.n)
         counters.pcg_iters += outcome.iterations
         # one inner CG sweep per preconditioned residual (iterations + initial);
         # pre.inner is 0 unless the preconditioner runs truncated CG
@@ -376,9 +371,7 @@ def solve_subproblem(
         dual_box = float(np.max(np.abs(g_new))) if g_new.size else 0.0
 
         counters.obj_evals += 1
-        ls = line_search(
-            obj, state.x, system.y, dx, energy, config.tau1, config.tau2, MAX_BACKTRACKS
-        )
+        ls = line_search(obj, state.x, system.y, dx, energy, MAX_BACKTRACKS)
         counters.obj_evals += ls.backtracks + 1
         if not ls.accepted and energy_explicit is None:
             bdx = system.bhat_matvec(dx)

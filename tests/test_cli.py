@@ -150,13 +150,16 @@ def test_solve_deterministic(tmp_path):
     assert (d1 / "reconstruction.pgm").read_bytes() == (d2 / "reconstruction.pgm").read_bytes()
 
 
-def test_solve_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(SOLVE_CONFIG + "\nbogus_key = 1\n")
-    out_dir = tmp_path / "nope"
-    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
-    assert not (out_dir / "reconstruction.pgm").exists()
-    assert not (out_dir / "trace.csv").exists()
+def test_solve_rejects_unknown_key(tmp_path, capsys):
+    # tau1, tau2 and rho are solver constants, not config keys
+    for key in ("bogus_key", "tau1", "tau2", "rho"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SOLVE_CONFIG + f"\n{key} = 0.5\n")
+        out_dir = tmp_path / "nope"
+        assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (out_dir / "reconstruction.pgm").exists()
+        assert not (out_dir / "trace.csv").exists()
 
 
 def test_solve_l1_dense_problem(tmp_path):
@@ -237,10 +240,19 @@ def test_spectrum_rejects_every_below_one(tmp_path, capsys, every):
     assert not out.exists()
 
 
-def test_spectrum_rejects_large_problem(tmp_path):
-    cfg = tmp_path / "spec.cfg"
-    cfg.write_text(SOLVE_CONFIG.replace("size = 16", "size = 128"))
-    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+def test_spectrum_rejects_large_problem(tmp_path, capsys):
+    # n comes from the problem built: a 65x65 PGM is too large even though
+    # the config's size (16) is not
+    image = tmp_path / "big.pgm"
+    cli.write_pgm(image, shepp_logan(65, 65))
+    for text in (SOLVE_CONFIG.replace("size = 16", "size = 128"),
+                 SOLVE_CONFIG.replace("image = phantom", f"image = {image}")):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "s.csv"
+        assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "spectrum needs n <= 4096, got" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ from csnewton.krylov import NonFiniteError, PcgOutcome, pcg_solve
 
 def test_identity_converges_in_one_iteration():
     rhs = np.array([3.0, -1.0, 2.0])
-    out = pcg_solve(lambda v: v, rhs, eta=1e-12)
+    out = pcg_solve(lambda v: v, rhs, eta=1e-12, cap=10)
     assert out.converged and out.iterations == 1
     np.testing.assert_allclose(out.solution, rhs, rtol=1e-14)
 
 
 def test_diagonal_system():
     d = np.array([1.0, 2.0, 4.0])
-    out = pcg_solve(lambda v: d * v, d.copy(), eta=1e-14)
+    out = pcg_solve(lambda v: d * v, d.copy(), eta=1e-14, cap=10)
     assert out.converged
     np.testing.assert_allclose(out.solution, np.ones(3), rtol=1e-12)
 
@@ -30,7 +30,7 @@ def test_random_spd_matches_direct_solve():
 
 
 def test_zero_rhs_returns_zero():
-    out = pcg_solve(lambda v: 2 * v, np.zeros(4))
+    out = pcg_solve(lambda v: 2 * v, np.zeros(4), cap=10)
     assert out.converged and out.iterations == 0
     np.testing.assert_array_equal(out.solution, np.zeros(4))
 
@@ -56,7 +56,7 @@ def test_exact_inverse_preconditioner_one_iteration():
     a = m.T @ m + np.eye(12)
     inv = np.linalg.inv(a)
     rhs = rng.standard_normal(12)
-    out = pcg_solve(lambda v: a @ v, rhs, precond=lambda r: inv @ r, eta=1e-8)
+    out = pcg_solve(lambda v: a @ v, rhs, precond=lambda r: inv @ r, eta=1e-8, cap=10)
     assert out.converged and out.iterations == 1
 
 
@@ -92,7 +92,7 @@ def test_nonfinite_raises():
         return v * np.nan
 
     with pytest.raises(NonFiniteError):
-        pcg_solve(bad, np.ones(3), eta=0.1)
+        pcg_solve(bad, np.ones(3), eta=0.1, cap=10)
 
 
 def test_cap_reached_reports_not_converged():
@@ -105,4 +105,4 @@ def test_cap_reached_reports_not_converged():
 
 def test_eta_validation():
     with pytest.raises(ValueError):
-        pcg_solve(lambda v: v, np.ones(2), eta=1.0)
+        pcg_solve(lambda v: v, np.ones(2), eta=1.0, cap=10)

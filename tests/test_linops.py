@@ -58,9 +58,12 @@ def test_mask_sorted_distinct_and_seeded():
 
 
 def test_mask_include_first():
-    m = make_mask(64, 16, seed=3, include_first=True)
-    assert m.selected_indices[0] == 0
-    assert len(m) == 16
+    # index 0 is in every mask, whatever the seed
+    for seed in range(20):
+        m = make_mask(64, 16, seed=seed)
+        assert m.selected_indices[0] == 0
+        assert len(m) == 16
+    assert make_mask(1, 1, seed=0).selected_indices.tolist() == [0]
 
 
 # ---------------------------------------------------------------------------

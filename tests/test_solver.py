@@ -27,14 +27,20 @@ def small_instance(rng, n=16, m=10, mu=1e-2, c=0.1, complex_w=False, l=None):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("eta", 1.0), ("tau1", 0.0), ("tau2", 0.5), ("rho", 0.0),
-    ("precond_mode", "bogus"), ("eta_schedule", "bogus"),
+    ("eta", 1.0), ("precond_mode", "bogus"), ("eta_schedule", "bogus"),
     ("max_outer", 0), ("max_outer", -1), ("grad_tol", -1.0),
     ("snapshot_every", -3),
 ])
 def test_solver_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
         SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["tau1", "tau2", "rho"])
+def test_solver_config_has_no_fixed_settings(field):
+    # the Armijo pair and the preconditioner shift are module constants
+    with pytest.raises(TypeError, match=field):
+        SolverConfig(**{field: 0.5})
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +175,7 @@ def test_line_search_exact_newton_on_quadratic():
     grad = a_mat.T @ (a_mat @ x - b)
     dx = np.linalg.solve(h, -grad)
     energy = dx @ (h @ dx)
-    res = line_search(obj, x, W.adjoint_apply(x), dx, energy, tau1=0.9, tau2=1e-3,
-                      max_backtracks=10)
+    res = line_search(obj, x, W.adjoint_apply(x), dx, energy, max_backtracks=10)
     assert res.accepted and res.backtracks == 0 and res.alpha == 1.0
 
 
@@ -178,7 +183,7 @@ def test_line_search_zero_direction_degenerate():
     rng = np.random.default_rng(6)
     obj = small_instance(rng)
     x = rng.standard_normal(obj.n)
-    res = line_search(obj, x, obj.W.adjoint_apply(x), np.zeros(obj.n), 0.0, 0.9, 1e-3, 10)
+    res = line_search(obj, x, obj.W.adjoint_apply(x), np.zeros(obj.n), 0.0, 10)
     assert res.accepted and res.backtracks == 0 and res.alpha == 1.0
 
 
@@ -191,8 +196,7 @@ def test_line_search_exhaustion_flagged():
     from csnewton.smoothing import objective_grad
 
     up = objective_grad(obj, x)
-    res = line_search(obj, x, obj.W.adjoint_apply(x), up, energy=1.0, tau1=0.9, tau2=1e-3,
-                      max_backtracks=10)
+    res = line_search(obj, x, obj.W.adjoint_apply(x), up, energy=1.0, max_backtracks=10)
     assert not res.accepted
     assert res.backtracks == 10
     assert res.alpha == 0.0
