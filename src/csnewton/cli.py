@@ -106,7 +106,6 @@ _CONFIG_KEYS = {
     "seed": int,
     "grad_tol": float,
     "max_outer": int,
-    "nu": float,  # spectrum command only
 }
 
 _DEFAULTS = {
@@ -117,13 +116,13 @@ _DEFAULTS = {
     "target_psnr": math.inf,
     "c": 1.0e-2,
     "mu": 1.0e-5,
-    "eta": 1.0e-1,
     "precond": "none",
     "continuation": "on",
     "seed": 0,
-    "grad_tol": 1.0e-6,
-    "max_outer": 100,
 }
+# Config keys passed to SolverConfig when the file sets them; its own
+# defaults apply otherwise.
+_SOLVER_KEYS = ("eta", "grad_tol", "max_outer")
 
 _PRECOND_MODES = {"none": "none", "exact": "exact_banded", "cg15": "truncated_cg"}
 
@@ -177,26 +176,22 @@ def _build_problem(cfg):
     A = make_dense_dictionary(rng.standard_normal((m, n)) / math.sqrt(n), field="real")
     x_true = rng.standard_normal(n)
     b = A.apply(x_true)
-    inst = ProblemInstance(
-        A=A, W=W, b=b, ground_truth=x_true, noise=None, seed=cfg["seed"], n1=n, n2=1,
-    )
+    inst = ProblemInstance(A=A, W=W, b=b, ground_truth=x_true, noise=None, n1=n, n2=1)
     return inst, None
 
 
-def _solver_config(cfg, audit: bool, snapshot_every: int = 0) -> SolverConfig:
+def _solver_config(cfg, snapshot_every: int = 0) -> SolverConfig:
     return SolverConfig(
-        eta=cfg["eta"],
-        grad_tol=cfg["grad_tol"],
-        max_outer=cfg["max_outer"],
         precond_mode=_PRECOND_MODES[cfg["precond"]],
-        audit=audit,
         snapshot_every=snapshot_every,
+        **{key: cfg[key] for key in _SOLVER_KEYS if key in cfg},
     )
 
 
 def _run_solve(cfg, inst: ProblemInstance, snapshot_every: int = 0) -> tuple:
-    """Solve the built problem; audit mode is on for n <= 4096."""
-    config = _solver_config(cfg, inst.A.cols <= 4096, snapshot_every)
+    """Solve the built problem with audit mode off: its explicit energy and
+    residual are written to neither trace.csv nor metrics.txt."""
+    config = _solver_config(cfg, snapshot_every)
     obj = SmoothedObjective(c=cfg["c"], mu=cfg["mu"], A=inst.A, W=inst.W, b=inst.b)
     t0 = time.perf_counter()
     if cfg["continuation"] == "on":
@@ -273,7 +268,7 @@ def _cmd_spectrum(args) -> int:
     if args.every < 1:
         print(f"error: --every must be >= 1, got {args.every}", file=sys.stderr)
         return 2
-    nu = args.nu if args.nu is not None else cfg.get("nu", 0.5 / cfg["mu"])
+    nu = args.nu if args.nu is not None else 0.5 / cfg["mu"]
     try:
         inst, _ = _build_problem(cfg)
     except (OSError, ValueError) as exc:  # an image that cannot be read
@@ -334,7 +329,7 @@ def _cmd_check(args) -> int:
     if "invariants" in suites:
         config = SolverConfig(grad_tol=1e-8, max_outer=60, audit=True,
                               precond_mode="exact_banded")
-        state = run_continuation(obj, config, make_schedule(1e-2, 1e-2, precond_enable_mu=1.0))
+        state = run_continuation(obj, config, make_schedule(1e-2, 1e-2))
         rep = diagnostics.check_solver_invariants(state.trace)
         for name, detail in rep.rows():
             emit(f"invariants/{name}", rep.passed, detail)

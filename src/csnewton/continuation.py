@@ -21,8 +21,6 @@ Newton settings in one place, as a tuple of ``Stage`` records:
     slower at 256x256 (50.0 s against 39.0 s), because there the factor,
     O(n n1^2) per outer iteration, costs more than the PCG iterations it
     saves.  ``truncated_cg`` is switched on at mu <= 1e-4 (stages 4-5).
-    ``ContinuationSchedule.precond_enable_mu`` overrides the rule for
-    every mode.
   * Every stage but the last stops at a gradient tolerance of
     ``max(grad_tol, INTERMEDIATE_GRAD_TOL)`` = 1e-3 at the default
     grad_tol.  It is a floor, not a factor of grad_tol, so a caller's
@@ -94,19 +92,16 @@ class Stage:
 
 @dataclass(frozen=True)
 class ContinuationSchedule:
-    """The (c, mu) stages.  ``precond_enable_mu``, when set, replaces
-    every mode's ``PRECOND_ENABLE_MU`` entry."""
+    """The (c, mu) stages; ``plan`` adds the Newton settings of each."""
 
     stages: Tuple[Tuple[float, float], ...]
-    precond_enable_mu: Optional[float] = None
 
     def plan(self, config: SolverConfig) -> Tuple[Stage, ...]:
         """Each stage's (c, mu) with the preconditioner mode, gradient
-        tolerance and forcing term it runs with under ``config``."""
-        enable_mu = self.precond_enable_mu
-        if enable_mu is None:
-            # "none" has no entry: it runs unpreconditioned whatever the threshold
-            enable_mu = PRECOND_ENABLE_MU.get(config.precond_mode, 0.0)
+        tolerance and forcing term it runs with under ``config``: the
+        mode is switched on at mu <= ``PRECOND_ENABLE_MU[mode]``."""
+        # "none" has no entry: it runs unpreconditioned whatever the threshold
+        enable_mu = PRECOND_ENABLE_MU.get(config.precond_mode, 0.0)
         last = len(self.stages) - 1
         plan = []
         for j, (c, mu) in enumerate(self.stages):
@@ -123,9 +118,7 @@ def _order_of_magnitude(target: float) -> int:
     return math.ceil(-math.log10(target) - 1e-9)
 
 
-def make_schedule(
-    c_target: float, mu_target: float, precond_enable_mu: Optional[float] = None
-) -> ContinuationSchedule:
+def make_schedule(c_target: float, mu_target: float) -> ContinuationSchedule:
     """Log-equispaced stages from (1e-1, 1e-1) down to the targets.
 
     The final pair is assigned exactly, never accumulated.  Fewer than
@@ -135,13 +128,13 @@ def make_schedule(
         raise ValueError("continuation targets must be positive")
     vartheta = max(_order_of_magnitude(c_target), _order_of_magnitude(mu_target))
     if vartheta < 2:
-        return ContinuationSchedule(((c_target, mu_target),), precond_enable_mu)
+        return ContinuationSchedule(((c_target, mu_target),))
     lc = np.linspace(-1.0, math.log10(c_target), vartheta + 1)
     lm = np.linspace(-1.0, math.log10(mu_target), vartheta + 1)
     stages = [(10.0**a, 10.0**b) for a, b in zip(lc, lm)]
     stages[0] = (1.0e-1, 1.0e-1)
     stages[-1] = (c_target, mu_target)
-    return ContinuationSchedule(tuple(stages), precond_enable_mu)
+    return ContinuationSchedule(tuple(stages))
 
 
 def run_continuation(

@@ -1,13 +1,15 @@
 """Preconditioned conjugate gradients for symmetric positive-definite actions.
 
 The iteration always starts from the zero vector.  That is load-bearing:
-with a zero start the returned direction dx satisfies the energy identity
-dx^T op(dx) = dx^T rhs at every iteration, which the outer Newton solver
-uses to get the line-search curvature term without an extra matvec.
+with a zero start and a linear preconditioner the returned direction dx
+satisfies the energy identity dx^T op(dx) = dx^T rhs at every iteration,
+which the outer Newton solver uses to get the line-search curvature term
+without an extra matvec.
 
 The stopping test is on the unpreconditioned residual, which the CG
-recurrence tracks directly; it is recomputed explicitly every
-``RECHECK_EVERY`` iterations as a drift guard.
+recurrence tracks directly.  It is recomputed explicitly every
+``RECHECK_EVERY`` iterations as a drift guard, and when the recurrence
+meets the tolerance, to gate the exit; one computation serves both.
 """
 
 from __future__ import annotations
@@ -52,8 +54,11 @@ def pcg_solve(
     rhs : ndarray
         Right-hand side.
     precond : callable, optional
-        Approximate inverse action; identity when omitted.  Must behave as
-        a fixed linear operator for the duration of the solve.
+        Approximate inverse action; identity when omitted.  It must be
+        deterministic for the duration of the solve.  Plain PCG assumes it
+        is also linear and symmetric positive definite; a nonlinear action
+        such as a truncated inner CG still converges in practice, but the
+        zero-start energy identity then holds only approximately.
     eta : float
         Relative residual tolerance in [0, 1).
     cap : int
@@ -92,24 +97,22 @@ def pcg_solve(
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        if k % RECHECK_EVERY == 0:
-            r_true = rhs - op(x)
-            drift = float(np.linalg.norm(r_true - r)) / max(1.0, float(np.linalg.norm(r_true)))
-            max_drift = max(max_drift, drift)
-            r = r_true
         res_norm = float(np.linalg.norm(r))
+        recheck = k % RECHECK_EVERY == 0
+        if recheck or res_norm <= target:
+            # one explicit residual serves the periodic recheck and the exit
+            # gate: the recurrence may sit a hair below the threshold while
+            # the true residual sits a hair above.  Only a recheck replaces
+            # the recurrence, so near-miss checks do not perturb conjugacy.
+            r_true = rhs - op(x)
+            true_norm = float(np.linalg.norm(r_true))
+            max_drift = max(max_drift, float(np.linalg.norm(r_true - r)) / max(1.0, true_norm))
+            if true_norm <= target:
+                return PcgOutcome(x, k, True, max_residual_drift=max_drift)
+            if recheck:
+                r, res_norm = r_true, true_norm
         if not np.isfinite(res_norm):
             raise NonFiniteError(f"non-finite residual at iteration {k}")
-        if res_norm <= target:
-            # gate the exit on the explicitly recomputed residual: the
-            # recurrence may sit a hair below the threshold while the true
-            # residual sits a hair above.  The recurrence itself is left
-            # untouched so near-miss checks do not perturb conjugacy.
-            r_true = rhs - op(x)
-            drift = float(np.linalg.norm(r_true - r)) / max(1.0, float(np.linalg.norm(r_true)))
-            max_drift = max(max_drift, drift)
-            if float(np.linalg.norm(r_true)) <= target:
-                return PcgOutcome(x, k, True, max_residual_drift=max_drift)
         z = precond(r) if precond is not None else r
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):

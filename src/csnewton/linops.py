@@ -121,10 +121,9 @@ def analysis_parts(op: LinearOperator, v: np.ndarray) -> Tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class SamplingMask:
-    """Strictly increasing, duplicate-free row indices plus the seed used."""
+    """Strictly increasing, duplicate-free row indices."""
 
     selected_indices: np.ndarray
-    seed: int
 
     def __post_init__(self):
         idx = np.asarray(self.selected_indices, dtype=np.int64)
@@ -152,7 +151,7 @@ def make_mask(n: int, m: int, seed: int) -> SamplingMask:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
     rest = rng.choice(np.arange(1, n), size=m - 1, replace=False)
-    return SamplingMask(np.sort(np.concatenate(([0], rest))), seed)
+    return SamplingMask(np.sort(np.concatenate(([0], rest))))
 
 
 # ---------------------------------------------------------------------------

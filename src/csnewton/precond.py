@@ -24,8 +24,11 @@ checked for finite values, the back-solve's is not: PCG rejects a
 non-finite preconditioned residual itself.
 
 The fixed inner count, ``TRUNCATED_CG_SWEEPS`` (15, the CLI's ``cg15``),
-keeps the approximate application (numerically) a fixed linear action
-within one outer PCG solve.
+keeps the approximate application deterministic, but zero-start CG is not
+linear in r: its step lengths depend on r.  Outer PCG then runs as a
+flexible method, and its zero-start energy identity dx^T Bhat dx =
+-dx^T grad f holds only approximately under ``truncated_cg`` (Notay,
+"Flexible conjugate gradients", SIAM J. Sci. Comput. 22(4), 2000).
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ RHO = 0.5  # the shift rho of the target c*sym(Bt) + rho*I
 
 @dataclass
 class Preconditioner:
-    """A fixed SPD linear action z -> approx (c*sym(Bt) + rho*I)^{-1} z."""
+    """A fixed action z -> approx (c*sym(Bt) + rho*I)^{-1} z: linear SPD
+    for ``exact_banded``, deterministic but nonlinear for ``truncated_cg``."""
 
     rho: float
     action: Optional[Callable[[np.ndarray], np.ndarray]]

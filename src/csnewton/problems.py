@@ -45,7 +45,6 @@ class ProblemInstance:
     b: np.ndarray
     ground_truth: Optional[np.ndarray]
     noise: Optional[np.ndarray]
-    seed: int
     n1: int
     n2: int
     mask: Optional[SamplingMask] = None
@@ -134,7 +133,6 @@ def make_itv_instance(
         b=b,
         ground_truth=image.copy(),
         noise=noisy - image,
-        seed=seed,
         n1=n1,
         n2=n2,
         mask=mask,

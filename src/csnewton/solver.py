@@ -346,9 +346,10 @@ def solve_subproblem(
 
         outcome = pcg_solve(system.bhat_matvec, -grad, pre.action, eta_k, cap=10 * obj.n)
         counters.pcg_iters += outcome.iterations
-        # one inner CG sweep per preconditioned residual (iterations + initial);
+        # PCG preconditions the first residual and each one it does not exit
+        # on: one application per iteration, plus one if stopped early.
         # pre.inner is 0 unless the preconditioner runs truncated CG
-        counters.precond_inner_iters += pre.inner * (outcome.iterations + 1)
+        counters.precond_inner_iters += pre.inner * (outcome.iterations + (not outcome.converged))
         if outcome.negative_curvature:
             raise NegativeCurvatureError(
                 f"nonpositive curvature in PCG at outer iteration {state.outer_iter}"

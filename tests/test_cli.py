@@ -5,6 +5,7 @@ import pytest
 
 from csnewton import cli
 from csnewton.problems import shepp_logan
+from csnewton.solver import SolverConfig
 
 
 def run_cli(args):
@@ -151,8 +152,9 @@ def test_solve_deterministic(tmp_path):
 
 
 def test_solve_rejects_unknown_key(tmp_path, capsys):
-    # tau1, tau2 and rho are solver constants, not config keys
-    for key in ("bogus_key", "tau1", "tau2", "rho"):
+    # tau1, tau2 and rho are solver constants, not config keys, and the
+    # spectrum command takes nu as --nu
+    for key in ("bogus_key", "tau1", "tau2", "rho", "nu"):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SOLVE_CONFIG + f"\n{key} = 0.5\n")
         out_dir = tmp_path / "nope"
@@ -160,6 +162,27 @@ def test_solve_rejects_unknown_key(tmp_path, capsys):
         assert f"unknown key {key!r}" in capsys.readouterr().err
         assert not (out_dir / "reconstruction.pgm").exists()
         assert not (out_dir / "trace.csv").exists()
+
+
+def test_solve_runs_without_audit(tmp_path, monkeypatch):
+    # audit mode's explicit energy and residual reach no output file, so the
+    # CLI does not pay the extra operator call for them
+    configs = []
+    run = cli.run_continuation
+
+    def spy(obj, config, schedule):
+        configs.append(config)
+        return run(obj, config, schedule)
+
+    monkeypatch.setattr(cli, "run_continuation", spy)
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(SOLVE_CONFIG)
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    (config,) = configs
+    assert not config.audit
+    # keys the file sets reach the solver; the others keep SolverConfig's defaults
+    assert (config.grad_tol, config.max_outer) == (1e-6, 40)
+    assert config.eta == SolverConfig().eta
 
 
 def test_solve_l1_dense_problem(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 import csnewton.solver
 from csnewton.continuation import (
-    FACTORED_ETA,
     PRECOND_ENABLE_MU,
     Stage,
     StageError,
@@ -129,10 +128,6 @@ def test_plan_keeps_tighter_caller_settings():
     plan = make_schedule(1e-2, 1e-5).plan(config)
     assert [s.eta for s in plan] == [1e-3] * 6
     assert [s.grad_tol for s in plan] == [5e-2] * 6
-    # the override switches the banded mode on, and with it the tighter eta, everywhere
-    sched = make_schedule(1e-2, 1e-5, precond_enable_mu=1.0)
-    plan = sched.plan(SolverConfig(precond_mode="exact_banded"))
-    assert {(s.precond_mode, s.eta) for s in plan} == {("exact_banded", FACTORED_ETA)}
     # a single-stage schedule is the last stage: it keeps the caller's grad_tol
     (only,) = make_schedule(1e-1, 1e-1).plan(SolverConfig(grad_tol=1e-8))
     assert only.grad_tol == 1e-8
@@ -162,19 +157,16 @@ def test_run_continuation_stage_bookkeeping(precond_modes):
     assert by_stage == {0: {"none"}, 1: {"none"}, **{s: {"exact_banded"} for s in range(2, 6)}}
 
 
-@pytest.mark.parametrize(
-    "mode, enable_mu, first_on",
-    [("truncated_cg", None, 4), ("exact_banded", 1.0, 0), ("truncated_cg", 1.0, 0)],
-)
-def test_run_continuation_precond_switch_on(precond_modes, mode, enable_mu, first_on):
-    # two outer iterations per stage are enough to see which mode each stage runs
+def test_run_continuation_precond_switch_on(precond_modes):
+    # two outer iterations per stage are enough to see which mode each stage
+    # runs: truncated CG from stage 4 (mu <= 1e-4)
     obj = small_itv_objective(1e-2, 1e-5)
-    sched = make_schedule(1e-2, 1e-5, precond_enable_mu=enable_mu)
-    state = run_continuation(obj, SolverConfig(max_outer=2, precond_mode=mode), sched)
+    config = SolverConfig(max_outer=2, precond_mode="truncated_cg")
+    state = run_continuation(obj, config, make_schedule(1e-2, 1e-5))
     by_stage = modes_by_stage(state.trace, precond_modes)
     assert sorted(by_stage) == list(range(6))
     for s, modes in by_stage.items():
-        assert modes == {mode if s >= first_on else "none"}
+        assert modes == {"truncated_cg" if s >= 4 else "none"}
 
 
 def test_one_band_storage_serves_each_stage(monkeypatch):
@@ -189,12 +181,17 @@ def test_one_band_storage_serves_each_stage(monkeypatch):
 
     monkeypatch.setattr(csnewton.solver, "build_for_system", spy)
     obj = small_itv_objective(1e-2, 1e-5)
-    sched = make_schedule(1e-2, 1e-5, precond_enable_mu=1.0)
-    state = run_continuation(obj, SolverConfig(max_outer=3, precond_mode="exact_banded"), sched)
+    config = SolverConfig(max_outer=3, precond_mode="exact_banded")
+    state = run_continuation(obj, config, make_schedule(1e-2, 1e-5))
     assert len(bands) == len(state.trace)
+    # the banded mode runs from stage 2 (mu <= 1e-2); stages 0-1 hold no band
     for s in range(6):
         stage = [band for band, r in zip(bands, state.trace) if r.stage == s]
-        assert len(stage) >= 2 and all(band is stage[0] for band in stage)
+        if s < 2:
+            assert stage and all(band is None for band in stage)
+        else:
+            assert len(stage) >= 2 and stage[0] is not None
+            assert all(band is stage[0] for band in stage)
 
 
 def phantom_continuation(n1, n2, mu, config=SolverConfig(precond_mode="exact_banded")):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csnewton.krylov import NonFiniteError, PcgOutcome, pcg_solve
+from csnewton.krylov import RECHECK_EVERY, NonFiniteError, PcgOutcome, pcg_solve
 
 
 def test_identity_converges_in_one_iteration():
@@ -79,6 +79,23 @@ def test_true_residual_enforced_on_exit():
     assert out.converged
     true_resid = np.linalg.norm(a @ out.solution - rhs)
     assert true_resid <= eta * np.linalg.norm(rhs) * (1 + 1e-10)
+
+
+def test_exit_on_recheck_iteration_applies_op_once():
+    # the periodic recheck and the exit gate share one explicit residual, so
+    # no two consecutive op calls see the same x
+    d = np.geomspace(1.0, 1e3, 50)
+    inputs = []
+
+    def op(v):
+        inputs.append(v.copy())
+        return d * v
+
+    out = pcg_solve(op, np.ones(50), eta=10**-9.5, cap=200)
+    assert out.converged and out.iterations == 2 * RECHECK_EVERY
+    # one op call per iteration plus the rechecks at iterations 50 and 100
+    assert len(inputs) == out.iterations + 2
+    assert not any(np.array_equal(a, b) for a, b in zip(inputs, inputs[1:]))
 
 
 def test_negative_curvature_flagged():

@@ -54,7 +54,7 @@ def test_mask_sorted_distinct_and_seeded():
     assert len(m1) == 25
     assert np.all(np.diff(m1.selected_indices) > 0)
     with pytest.raises(ValueError):
-        SamplingMask(np.array([3, 3, 5]), seed=0)
+        SamplingMask(np.array([3, 3, 5]))
 
 
 def test_mask_include_first():

@@ -12,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracer  # noqa: E402
 
 from csnewton.continuation import make_schedule, run_continuation  # noqa: E402
+from csnewton.precond import TRUNCATED_CG_SWEEPS  # noqa: E402
 from csnewton.problems import make_itv_instance, shepp_logan  # noqa: E402
 from csnewton.smoothing import SmoothedObjective  # noqa: E402
 from csnewton.solver import SolverConfig  # noqa: E402
@@ -69,3 +70,16 @@ def test_krylov_counts_match_the_trace(solves):
     infos = totals["krylov.pcg"].infos
     assert sum(i["iters"] for i in infos) == sum(r.pcg_iters for r in traced.trace)
     assert sum(i["capped"] for i in infos) == sum(not r.pcg_converged for r in traced.trace)
+
+
+def test_precond_inner_iters_match_traced_applications():
+    # one inner CG sweep count per preconditioner application that PCG makes
+    inst = make_itv_instance(shepp_logan(16, 16), 0.25, math.inf, 0)
+    config = SolverConfig(precond_mode="truncated_cg", max_outer=3)
+    spans = tracer.Tracer()
+    with tracer.traced(spans):
+        obj = SmoothedObjective(c=1e-2, mu=1e-5, A=inst.A, W=inst.W, b=inst.b)
+        state = run_continuation(obj, config, make_schedule(1e-2, 1e-5))
+    applications = tracer.summarize(spans.spans)["precond.apply"].calls
+    assert applications > 0
+    assert state.counters.precond_inner_iters == TRUNCATED_CG_SWEEPS * applications

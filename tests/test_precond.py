@@ -247,7 +247,7 @@ def test_clustering_bounds_hold_on_solved_instance():
     from csnewton.continuation import make_schedule, run_continuation
 
     config = SolverConfig(grad_tol=1e-8, max_outer=40, precond_mode="exact_banded")
-    state = run_continuation(obj, config, make_schedule(2.29e-2, mu, precond_enable_mu=1.0))
+    state = run_continuation(obj, config, make_schedule(2.29e-2, mu))
     system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
     rep = spectrum_report(system, rho=0.5, nu=0.5 / mu)
     dev = np.abs(rep.precond_eigs - 1.0)

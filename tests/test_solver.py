@@ -286,7 +286,7 @@ def test_trace_invariants_on_healthy_run():
     rng = np.random.default_rng(10)
     obj = small_instance(rng, n=16, mu=1e-2, c=0.1)
     config = SolverConfig(grad_tol=1e-10, max_outer=100, audit=True, precond_mode="exact_banded")
-    state = run_continuation(obj, config, make_schedule(0.1, 1e-2, precond_enable_mu=1.0))
+    state = run_continuation(obj, config, make_schedule(0.1, 1e-2))
     assert state.converged
     assert all(r.accepted for r in state.trace)
     for stage in {r.stage for r in state.trace}:
