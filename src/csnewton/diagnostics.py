@@ -96,7 +96,12 @@ class InvariantReport:
 def check_solver_invariants(trace: Sequence[IterationRecord]) -> InvariantReport:
     """Audit a completed trace: per-stage monotone objective, dual box,
     the zero-start energy identity and the PCG stopping rule (the last
-    two need records produced with auditing enabled)."""
+    two need records produced with auditing enabled).
+
+    The energy identity is skipped for ``truncated_cg`` records: inner CG
+    makes that preconditioner nonlinear, so outer PCG runs as a flexible
+    method and the identity holds only approximately (gaps up to 7e-5 on
+    converging 64x64 solves)."""
     report = InvariantReport(checked_records=len(trace))
     prev_f = {}
     for rec in trace:
@@ -108,7 +113,7 @@ def check_solver_invariants(trace: Sequence[IterationRecord]) -> InvariantReport
         prev_f[rec.stage] = rec.f
         if rec.dual_box > 1.0 + report.box_tol:
             report.violations.append(f"{tag}: dual box violated, |g|_inf = {rec.dual_box}")
-        if rec.energy_explicit is not None:
+        if rec.energy_explicit is not None and rec.precond_mode != "truncated_cg":
             gap = abs(rec.energy_explicit + rec.grad_dot_dx)
             if gap > report.energy_tol * max(1.0, abs(rec.grad_dot_dx)):
                 report.violations.append(f"{tag}: energy identity off by {gap}")

@@ -14,6 +14,7 @@ meets the tolerance, to gate the exit; one computation serves both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -85,19 +86,23 @@ def pcg_solve(
     rz = float(r @ z)
     target = eta * rhs_norm
     max_drift = 0.0
+    step = np.empty_like(rhs)  # alpha*p, then alpha*q: x and r update in place
 
     for k in range(1, cap + 1):
         q = op(p)
         pq = float(p @ q)
-        if not np.isfinite(pq):
+        if not math.isfinite(pq):
             raise NonFiniteError(f"non-finite curvature p^T op(p) at iteration {k}")
         if pq <= 0.0:
             return PcgOutcome(x, k - 1, False, negative_curvature=True,
                               max_residual_drift=max_drift)
         alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        res_norm = float(np.linalg.norm(r))
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(q, alpha, out=step)
+        # np.linalg.norm(r) is sqrt(r @ r); without a preconditioner r @ r is
+        # also the next r^T z
+        rr = float(r @ r)
+        res_norm = math.sqrt(rr)
         recheck = k % RECHECK_EVERY == 0
         if recheck or res_norm <= target:
             # one explicit residual serves the periodic recheck and the exit
@@ -105,20 +110,25 @@ def pcg_solve(
             # the true residual sits a hair above.  Only a recheck replaces
             # the recurrence, so near-miss checks do not perturb conjugacy.
             r_true = rhs - op(x)
-            true_norm = float(np.linalg.norm(r_true))
+            rr_true = float(r_true @ r_true)
+            true_norm = math.sqrt(rr_true)
             max_drift = max(max_drift, float(np.linalg.norm(r_true - r)) / max(1.0, true_norm))
             if true_norm <= target:
                 return PcgOutcome(x, k, True, max_residual_drift=max_drift)
             if recheck:
-                r, res_norm = r_true, true_norm
-        if not np.isfinite(res_norm):
+                r, rr, res_norm = r_true, rr_true, true_norm
+        if not math.isfinite(res_norm):
             raise NonFiniteError(f"non-finite residual at iteration {k}")
-        z = precond(r) if precond is not None else r
-        rz_new = float(r @ z)
-        if not np.isfinite(rz_new):
+        if precond is None:
+            z, rz_new = r, rr
+        else:
+            z = precond(r)
+            rz_new = float(r @ z)
+        if not math.isfinite(rz_new):
             raise NonFiniteError(f"non-finite preconditioned residual at iteration {k}")
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        p *= beta
+        p += z
 
     return PcgOutcome(x, cap, False, max_residual_drift=max_drift)

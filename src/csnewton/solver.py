@@ -117,6 +117,7 @@ class IterationRecord:
     max_residual_drift: float
     energy_explicit: Optional[float] = None
     pcg_residual: Optional[float] = None
+    precond_mode: str = "none"  # the stage's preconditioner
 
 
 @dataclass
@@ -402,6 +403,7 @@ def solve_subproblem(
                 max_residual_drift=outcome.max_residual_drift,
                 energy_explicit=energy_explicit,
                 pcg_residual=pcg_residual,
+                precond_mode=config.precond_mode,
             )
         )
     else:

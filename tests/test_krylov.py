@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from csnewton.krylov import RECHECK_EVERY, NonFiniteError, PcgOutcome, pcg_solve
+from pcg_reference import reference_pcg_solve
 
 
 def test_identity_converges_in_one_iteration():
@@ -123,3 +124,52 @@ def test_cap_reached_reports_not_converged():
 def test_eta_validation():
     with pytest.raises(ValueError):
         pcg_solve(lambda v: v, np.ones(2), eta=1.0, cap=10)
+
+
+def _spd(n, seed, shift):
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return m.T @ m + shift * np.eye(n)
+
+
+def _case(name):
+    """(op, rhs, precond, eta, cap) for one reference comparison."""
+    rng = np.random.default_rng(7)
+    if name == "plain":
+        a = _spd(60, 1, 1e-2)
+        return (lambda v: a @ v), rng.standard_normal(60), None, 1e-8, 400
+    if name == "preconditioned":
+        a = _spd(60, 2, 1e-2)
+        inv_diag = 1.0 / np.diag(a)
+        return (lambda v: a @ v), rng.standard_normal(60), (lambda r: inv_diag * r), 1e-8, 400
+    if name == "recheck_exit":
+        d = np.geomspace(1.0, 1e3, 50)
+        return (lambda v: d * v), np.ones(50), None, 10**-9.5, 200
+    if name == "truncated":
+        a = _spd(200, 3, 1.0)
+        return (lambda v: a @ v), rng.standard_normal(200), None, 0.0, 15
+    if name == "negative_curvature":
+        a = np.diag([1.0, 2.0, -1.0])
+        return (lambda v: a @ v), np.array([1.0, 1.0, 0.1]), None, 1e-10, 10
+    if name == "zero_rhs":
+        return (lambda v: 2 * v), np.zeros(4), None, 0.1, 10
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["plain", "preconditioned", "recheck_exit", "truncated", "negative_curvature", "zero_rhs"],
+)
+def test_matches_reference_loop_bitwise(name):
+    op, rhs, precond, eta, cap = _case(name)
+    got = pcg_solve(op, rhs, precond, eta, cap=cap)
+    want = reference_pcg_solve(op, rhs, precond, eta, cap=cap)
+    assert got.solution.tobytes() == want.solution.tobytes()
+    # the drift is a nonnegative float, so == is bit equality
+    fields = ("iterations", "converged", "negative_curvature", "max_residual_drift")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    if name == "recheck_exit":
+        assert want.iterations == 2 * RECHECK_EVERY and want.converged
+    if name == "truncated":
+        assert want.iterations == 15 and not want.converged
+    if name == "negative_curvature":
+        assert want.negative_curvature

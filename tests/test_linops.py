@@ -4,6 +4,8 @@ import scipy.sparse as sp
 from scipy.fft import dctn, idctn
 
 from csnewton.linops import (
+    DCT_MATMUL_BELOW,
+    _dct_matrix,
     analysis_parts,
     LinearOperator,
     SamplingMask,
@@ -183,7 +185,7 @@ def _grad_synth_fortran(p, q, n1, n2):
     return out.ravel(order="F")
 
 
-@pytest.mark.parametrize("n1,n2", [(2, 2), (4, 8), (8, 4), (16, 2)])
+@pytest.mark.parametrize("n1,n2", [(2, 2), (4, 8), (8, 4), (16, 2), (128, 2), (2, 128)])
 def test_flat_kernels_match_fortran_reference_bitwise(n1, n2):
     # reference: the same stencils on the (n1, n2) image in Fortran order
     rng = np.random.default_rng(n1 * 31 + n2)
@@ -207,12 +209,17 @@ def test_flat_kernels_match_fortran_reference_bitwise(n1, n2):
     mask = make_mask(n, n // 2, seed=1)
     A = make_partial_dct2(n1, n2, mask)
     idx = mask.selected_indices
-    want = dctn(x.reshape((n1, n2), order="F"), norm="ortho").ravel(order="F")[idx]
-    assert bits(A.apply(x)) == bits(want)
+    want_fwd = dctn(x.reshape((n1, n2), order="F"), norm="ortho").ravel(order="F")[idx]
     full = np.zeros(n)
     full[idx] = x[: idx.size]
-    want = idctn(full.reshape((n1, n2), order="F"), norm="ortho").ravel(order="F")
-    assert bits(A.adjoint_apply(x[: idx.size])) == bits(want)
+    want_adj = idctn(full.reshape((n1, n2), order="F"), norm="ortho").ravel(order="F")
+    pairs = ((A.apply(x), want_fwd), (A.adjoint_apply(x[: idx.size]), want_adj))
+    for got, want in pairs:
+        if max(n1, n2) < DCT_MATMUL_BELOW:
+            # dense matrix products round differently from the FFT
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        else:
+            assert bits(got) == bits(want)
 
 
 def test_gradient2d_rejects_small_dims():
@@ -262,6 +269,37 @@ def test_partial_dct2_any_image_size(n1, n2):
     full = make_partial_dct2(n1, n2, make_mask(n, n, seed=0))
     x = rng.standard_normal(n)
     assert abs(np.linalg.norm(full.apply(x)) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 2), (3, 5), (64, 64), (127, 2), (2, 127)])
+def test_partial_dct2_matrix_products_match_dctn(n1, n2):
+    # both sides below DCT_MATMUL_BELOW: the operator multiplies by DCT matrices
+    rng = np.random.default_rng(n1 * 131 + n2)
+    n = n1 * n2
+    mask = make_mask(n, max(1, n // 3), seed=7)
+    A = make_partial_dct2(n1, n2, mask)
+    idx = mask.selected_indices
+    x = rng.standard_normal(n)
+    want = dctn(x.reshape((n1, n2), order="F"), norm="ortho").ravel(order="F")[idx]
+    got = A.apply(x)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    v = rng.standard_normal(idx.size)
+    full = np.zeros(n)
+    full[idx] = v
+    want = idctn(full.reshape((n1, n2), order="F"), norm="ortho").ravel(order="F")
+    got = A.adjoint_apply(v)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert_adjoint_consistent(A, rng)
+
+
+@pytest.mark.parametrize("length", [1, 2, 5, 64, 127])
+def test_dct_matrix_is_cached_orthogonal_and_read_only(length):
+    c = _dct_matrix(length)
+    assert np.abs(c @ c.T - np.eye(length)).max() <= 1e-14
+    assert not c.flags.writeable
+    with pytest.raises(ValueError):
+        c[0, 0] = 1.0
+    assert _dct_matrix(length) is c
 
 
 # ---------------------------------------------------------------------------

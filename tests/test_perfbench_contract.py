@@ -72,6 +72,13 @@ def test_krylov_counts_match_the_trace(solves):
     assert sum(i["capped"] for i in infos) == sum(not r.pcg_converged for r in traced.trace)
 
 
+def test_every_bhat_action_reaches_the_traced_measurement_operator(solves):
+    # each PCG iteration applies A^T A through A's own apply and adjoint_apply,
+    # so a fused normal operator would hide the DCT from linops.A
+    _, traced, totals = solves
+    assert totals["linops.A"].calls >= 2 * sum(r.pcg_iters for r in traced.trace)
+
+
 def test_precond_inner_iters_match_traced_applications():
     # one inner CG sweep count per preconditioner application that PCG makes
     inst = make_itv_instance(shepp_logan(16, 16), 0.25, math.inf, 0)
