@@ -10,6 +10,19 @@ The stopping test is on the unpreconditioned residual, which the CG
 recurrence tracks directly.  It is recomputed explicitly every
 ``RECHECK_EVERY`` iterations as a drift guard, and when the recurrence
 meets the tolerance, to gate the exit; one computation serves both.
+
+With ``flexible=True`` each new search direction is the preconditioned
+residual z minus its op-projections on the previous two directions
+(Notay's flexible CG with truncation 2, FCG(2): "Flexible conjugate
+gradients", SIAM J. Sci. Comput. 22(4), 2000), in place of the standard
+p = z + beta*p.  The step length alpha = r^T z / p^T op(p) is the same
+in both.  The standard recurrence keeps its directions conjugate only
+when the preconditioner is a fixed linear SPD map; a nonlinear one, such
+as a truncated inner CG, loses conjugacy, which the explicit
+orthogonalization restores against the two latest directions (Golub &
+Ye, SIAM J. Sci. Comput. 21(4), 1999).  With a linear preconditioner
+both recurrences are the same method in exact arithmetic.  The solver
+turns it on for the ``truncated_cg`` preconditioner only.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ def pcg_solve(
     eta: float = 0.1,
     *,
     cap: int,
+    flexible: bool = False,
 ) -> PcgOutcome:
     """Solve op(x) = rhs to ||op(x) - rhs|| <= eta * ||rhs||, zero start.
 
@@ -58,12 +72,17 @@ def pcg_solve(
         Approximate inverse action; identity when omitted.  It must be
         deterministic for the duration of the solve.  Plain PCG assumes it
         is also linear and symmetric positive definite; a nonlinear action
-        such as a truncated inner CG still converges in practice, but the
+        such as a truncated inner CG needs ``flexible=True``, and the
         zero-start energy identity then holds only approximately.
     eta : float
         Relative residual tolerance in [0, 1).
     cap : int
         Iteration cap; ``converged=False`` when reached.
+    flexible : bool
+        Build each direction as z minus its op-projections on the previous
+        two (FCG(2)) instead of z + beta*p; costs two more inner products
+        and one more stored direction pair per iteration.  ``False`` runs
+        the standard recurrence.
 
     Returns
     -------
@@ -87,6 +106,7 @@ def pcg_solve(
     target = eta * rhs_norm
     max_drift = 0.0
     step = np.empty_like(rhs)  # alpha*p, then alpha*q: x and r update in place
+    p_prev = q_prev = pq_prev = None  # the direction before p, op of it, their product
 
     for k in range(1, cap + 1):
         q = op(p)
@@ -126,9 +146,14 @@ def pcg_solve(
             rz_new = float(r @ z)
         if not math.isfinite(rz_new):
             raise NonFiniteError(f"non-finite preconditioned residual at iteration {k}")
-        beta = rz_new / rz
+        if flexible:
+            p_new = z - (float(z @ q) / pq) * p
+            if p_prev is not None:
+                p_new -= (float(z @ q_prev) / pq_prev) * p_prev
+            p_prev, q_prev, pq_prev, p = p, q, pq, p_new
+        else:
+            p *= rz_new / rz
+            p += z
         rz = rz_new
-        p *= beta
-        p += z
 
     return PcgOutcome(x, cap, False, max_residual_drift=max_drift)

@@ -10,11 +10,15 @@ and yields a target that is either
     ``curvature_band`` kernel writes the LAPACK band of sym(Bt) from the
     Newton system's diagonals (2D gradients give a 7-diagonal stencil with
     the pixel-column stride as bandwidth), or
-  * applied approximately by a fixed number of plain CG iterations on the
-    Newton system's ``ntilde_action``: one sparse product of the target,
-    assembled once per system, when the dictionary has a
-    ``curvature_diagonals`` stencil (2D gradients), and an analysis, a
-    diagonal scaling and a synthesis otherwise.
+  * applied approximately by a fixed number of CG sweeps.  When the
+    dictionary has a ``curvature_diagonals`` stencil (2D gradients) they
+    run on the Jacobi-scaled target S^{-1/2} N S^{-1/2}, S the diagonal
+    of N = c*sym(Bt) + rho*I, assembled once per system with unit
+    diagonal and the stencil's offsets, and the action is
+    z = s * CG(s * r) with s = S^{-1/2}: Jacobi-preconditioned CG on N,
+    each sweep one sparse product.  Otherwise they are plain CG sweeps on
+    the Newton system's matrix-free ``ntilde_action`` (an analysis, a
+    diagonal scaling and a synthesis).
 
 The band is shifted and factorized in place, in the storage of the
 previous factor when the caller hands it over (``release_band``), as the
@@ -25,10 +29,13 @@ non-finite preconditioned residual itself.
 
 The fixed inner count, ``TRUNCATED_CG_SWEEPS`` (15, the CLI's ``cg15``),
 keeps the approximate application deterministic, but zero-start CG is not
-linear in r: its step lengths depend on r.  Outer PCG then runs as a
-flexible method, and its zero-start energy identity dx^T Bhat dx =
--dx^T grad f holds only approximately under ``truncated_cg`` (Notay,
-"Flexible conjugate gradients", SIAM J. Sci. Comput. 22(4), 2000).
+linear in r: its step lengths depend on r.  The solver therefore runs
+outer PCG with the flexible recurrence under ``truncated_cg`` (see
+``krylov``), and its zero-start energy identity dx^T Bhat dx =
+-dx^T grad f holds only approximately there (Notay, "Flexible conjugate
+gradients", SIAM J. Sci. Comput. 22(4), 2000).  A target whose diagonal
+is not positive and finite, or an inner sweep that meets nonpositive
+curvature, means the duals were invalid: both raise ``LinAlgError``.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, eigvalsh
 
 from .krylov import pcg_solve
-from .linops import estimate_delta, to_dense
+from .linops import estimate_delta, stencil_matrix, to_dense
 
 __all__ = [
     "Preconditioner",
@@ -85,10 +92,16 @@ def build_for_system(
         return Preconditioner(rho, None)
 
     if mode == "truncated_cg":
-        n_action = system.ntilde_action(rho)
+        n_action, s = _jacobi_scaled_target(system, rho)
 
         def apply_approx(r):
-            return pcg_solve(n_action, r, None, eta=0.0, cap=TRUNCATED_CG_SWEEPS).solution
+            inner = pcg_solve(n_action, s * r, None, eta=0.0, cap=TRUNCATED_CG_SWEEPS)
+            if inner.negative_curvature:
+                raise np.linalg.LinAlgError(
+                    f"truncated_cg: inner CG met nonpositive curvature at sweep "
+                    f"{inner.iterations + 1}"
+                )
+            return s * inner.solution
 
         return Preconditioner(rho, apply_approx, inner=TRUNCATED_CG_SWEEPS)
 
@@ -121,6 +134,29 @@ def build_for_system(
         )
 
     raise ValueError(f"unknown preconditioner mode {mode!r}")
+
+
+def _jacobi_scaled_target(system, rho: float):
+    """(action, s) for the inner CG of ``truncated_cg``: the target
+    N = c*sym(Bt) + rho*I scaled to S^{-1/2} N S^{-1/2}, with S its
+    diagonal and s = S^{-1/2}, when the system has a stencil; otherwise
+    N's matrix-free action and s = 1."""
+    if system.stencil is None:
+        return system.ntilde_action(rho), 1.0
+    offsets, diags = system.stencil
+    target = system.obj.c * diags
+    target[0] += rho
+    if not np.all((target[0] > 0.0) & (target[0] < np.inf)):
+        raise np.linalg.LinAlgError(
+            "truncated_cg: the diagonal of c*sym(Bt) + rho*I is not positive and finite"
+        )
+    s = 1.0 / np.sqrt(target[0])
+    target[0] = 1.0
+    # entry (i, i + k) is stored at column i + k of row k
+    for k, row in zip(offsets[1:], target[1:]):
+        row[k:] *= s[k:] * s[:-k]
+    ntilde = stencil_matrix(offsets, target)
+    return (lambda v: ntilde @ v), s
 
 
 # ---------------------------------------------------------------------------

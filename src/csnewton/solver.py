@@ -206,11 +206,12 @@ class NewtonSystem:
         self.d4 = self.d * (1.0 - self.d * self.g_im * self.ix)
         self.d23 = -0.5 * self.d * (self.b2 + self.b3)
         self._real_w = W.field == "real"
-        self._stencil = None
+        # upper diagonals (offsets, diags) of sym(Bt), with a stencil kernel only
+        self.stencil = None
         self._symb = None
         if W.curvature_diagonals is not None:
-            self._stencil = W.curvature_diagonals(self.d1, self.d4, self.d23)
-            self._symb = stencil_matrix(*self._stencil)
+            self.stencil = W.curvature_diagonals(self.d1, self.d4, self.d23)
+            self._symb = stencil_matrix(*self.stencil)
 
     @classmethod
     def at_central_duals(cls, obj: SmoothedObjective, x: np.ndarray) -> NewtonSystem:
@@ -240,9 +241,9 @@ class NewtonSystem:
         """The action of the preconditioner target c*sym(Bt) + rho*I; with
         a stencil it is assembled here, so each call is one sparse product."""
         c = self.obj.c
-        if self._stencil is None:
+        if self.stencil is None:
             return lambda v: c * self.symb_matvec(v) + rho * v
-        ntilde = stencil_matrix(*self._stencil, scale=c, shift=rho)
+        ntilde = stencil_matrix(*self.stencil, scale=c, shift=rho)
         return lambda v: ntilde @ v
 
     def dual_step(self, dx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -345,7 +346,10 @@ def solve_subproblem(
         if config.eta_schedule == "decreasing":
             eta_k = min(config.eta, float(np.sqrt(gnorm)))
 
-        outcome = pcg_solve(system.bhat_matvec, -grad, pre.action, eta_k, cap=10 * obj.n)
+        # inner CG sweeps make the preconditioner nonlinear in the residual,
+        # which the flexible recurrence tolerates
+        outcome = pcg_solve(system.bhat_matvec, -grad, pre.action, eta_k, cap=10 * obj.n,
+                            flexible=pre.inner > 0)
         counters.pcg_iters += outcome.iterations
         # PCG preconditions the first residual and each one it does not exit
         # on: one application per iteration, plus one if stopped early.

@@ -142,6 +142,23 @@ def test_solve_command_outputs(tmp_path):
     assert "psnr_db" in metrics and "total_matvecs" in metrics
 
 
+def test_solve_trace_names_each_stage_preconditioner(tmp_path):
+    # cg15 switches truncated CG, and with it the flexible outer PCG, on at
+    # mu <= 1e-4: the last two of the six stages to mu = 1e-5
+    cfg = tmp_path / "cg15.cfg"
+    cfg.write_text("size = 16\nprecond = cg15\n")
+    out_dir = tmp_path / "out"
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    with open(out_dir / "trace.csv") as fh:
+        rows = list(csv.reader(fh))
+    records = [dict(zip(rows[0], row)) for row in rows[1:]]
+    modes = {}
+    for r in records:
+        modes.setdefault(int(r["stage"]), set()).add(r["precond_mode"])
+    assert modes == {**{s: {"none"} for s in range(4)}, 4: {"truncated_cg"}, 5: {"truncated_cg"}}
+    assert {r["accepted"] for r in records} <= {"0", "1"} and records[-1]["accepted"] == "1"
+
+
 def test_solve_deterministic(tmp_path):
     cfg = tmp_path / "solve.cfg"
     cfg.write_text(SOLVE_CONFIG)

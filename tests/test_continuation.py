@@ -169,6 +169,26 @@ def test_run_continuation_precond_switch_on(precond_modes):
         assert modes == {"truncated_cg" if s >= 4 else "none"}
 
 
+def test_flexible_pcg_runs_exactly_in_truncated_cg_stages(precond_modes, monkeypatch):
+    # the inner-CG preconditioner is nonlinear, so outer PCG is flexible
+    # there; the unpreconditioned stages keep the standard recurrence
+    flexible = []
+    pcg = csnewton.solver.pcg_solve
+
+    def spy(*args, **kwargs):
+        flexible.append(kwargs["flexible"])
+        return pcg(*args, **kwargs)
+
+    monkeypatch.setattr(csnewton.solver, "pcg_solve", spy)
+    obj = small_itv_objective(1e-2, 1e-5)
+    state = run_continuation(obj, SolverConfig(precond_mode="truncated_cg"),
+                             make_schedule(1e-2, 1e-5))
+    assert state.converged
+    assert len(flexible) == len(precond_modes) == len(state.trace)
+    assert flexible == [mode == "truncated_cg" for mode in precond_modes]
+    assert modes_by_stage(state.trace, precond_modes)[5] == {"truncated_cg"}
+
+
 def test_one_band_storage_serves_each_stage(monkeypatch):
     # each factor is written into the storage of the one before it
     bands = []

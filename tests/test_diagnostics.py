@@ -95,8 +95,9 @@ def test_energy_identity_skipped_only_for_truncated_cg_records():
 
 
 def test_truncated_cg_continuation_passes_audit():
-    # flexible outer PCG under the nonlinear inner-CG preconditioner misses
-    # the zero-start energy identity by more than energy_tol on this solve
+    # outer PCG runs the flexible recurrence under the nonlinear inner-CG
+    # preconditioner, and misses the zero-start energy identity by more than
+    # energy_tol on this solve; check_solver_invariants skips that check there
     inst = make_itv_instance(shepp_logan(16, 16), 0.25, math.inf, 0)
     obj = SmoothedObjective(c=1e-2, mu=1e-5, A=inst.A, W=inst.W, b=inst.b)
     config = SolverConfig(precond_mode="truncated_cg", audit=True)

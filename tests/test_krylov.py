@@ -173,3 +173,58 @@ def test_matches_reference_loop_bitwise(name):
         assert want.iterations == 15 and not want.converged
     if name == "negative_curvature":
         assert want.negative_curvature
+
+
+def _recording(a):
+    """op v -> a @ v that keeps a copy of every input."""
+    inputs = []
+
+    def op(v):
+        inputs.append(v.copy())
+        return a @ v
+
+    return op, inputs
+
+
+def _worst_conjugacy(a, directions, lag):
+    """Largest |p_k^T a p_{k-lag}| / (||p_k||_a ||p_{k-lag}||_a)."""
+    worst = 0.0
+    for p, prev in zip(directions[lag:], directions):
+        cos = abs(p @ a @ prev) / np.sqrt((p @ a @ p) * (prev @ a @ prev))
+        worst = max(worst, cos)
+    return worst
+
+
+def test_flexible_directions_stay_conjugate_under_truncated_inner_cg():
+    # a few zero-start CG sweeps are a nonlinear preconditioner; FCG(2)
+    # orthogonalizes each direction against the previous two, which the
+    # standard recurrence does not achieve under such a preconditioner
+    a = _spd(80, 11, 1.0)
+    m = _spd(80, 12, 1.0)
+
+    def inner_cg(r):
+        return pcg_solve(lambda v: m @ v, r, eta=0.0, cap=4).solution
+
+    rhs = np.random.default_rng(13).standard_normal(80)
+    worst = {}
+    for flexible in (False, True):
+        op, inputs = _recording(a)
+        # eta = 0 and cap < RECHECK_EVERY: op sees the search directions only
+        out = pcg_solve(op, rhs, inner_cg, 0.0, cap=30, flexible=flexible)
+        assert out.iterations == 30 and len(inputs) == 30
+        worst[flexible] = max(_worst_conjugacy(a, inputs, lag) for lag in (1, 2))
+    assert worst[True] <= 1e-10
+    assert worst[False] > 1e-6
+
+
+def test_flexible_matches_standard_under_a_linear_preconditioner():
+    a = _spd(60, 2, 1e-2)
+    inv_diag = 1.0 / np.diag(a)
+    rhs = np.random.default_rng(14).standard_normal(60)
+    eta = 1e-10
+    outs = [pcg_solve(lambda v: a @ v, rhs, lambda r: inv_diag * r, eta, cap=400,
+                      flexible=flexible) for flexible in (False, True)]
+    assert all(out.converged for out in outs)
+    standard, flexible = (out.solution for out in outs)
+    assert np.linalg.norm(a @ (flexible - standard)) <= 2 * eta * np.linalg.norm(rhs)
+    assert abs(outs[0].iterations - outs[1].iterations) <= 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from pcg_reference import reference_pcg_solve
 from test_linops import band_to_dense
 
 from csnewton.linops import (
@@ -9,7 +10,7 @@ from csnewton.linops import (
     make_zero_operator,
     synth_real,
 )
-from csnewton.precond import build_for_system, spectrum_report
+from csnewton.precond import TRUNCATED_CG_SWEEPS, build_for_system, spectrum_report
 from csnewton.problems import make_itv_instance, shepp_logan
 from csnewton.smoothing import SmoothedObjective
 from csnewton.solver import NewtonSystem, SolverConfig, project_linf
@@ -128,6 +129,51 @@ def test_truncated_cg_dominant_shift_limit():
     r = rng.standard_normal(obj.n)
     back = system.ntilde_action(pre.rho)(pre.action(r))
     assert np.linalg.norm(back - r) <= 1e-4 * np.linalg.norm(r)
+
+
+def test_truncated_cg_is_jacobi_pcg_on_the_target():
+    # CG sweeps on S^{-1/2} N S^{-1/2}, S = diag(N), scaled back by S^{-1/2},
+    # are in exact arithmetic Jacobi-preconditioned CG on the target N
+    obj, system = itv_system(n1=16, n2=16, mu=1e-5)
+    nd = dense_ntilde(system, 0.5)
+    inv_diag = 1.0 / np.diag(nd)
+    pre = build_for_system(system, "truncated_cg", rho=0.5)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        r = rng.standard_normal(obj.n)
+        want = reference_pcg_solve(lambda v: nd @ v, r, lambda v: inv_diag * v, 0.0,
+                                   cap=TRUNCATED_CG_SWEEPS)
+        assert want.iterations == TRUNCATED_CG_SWEEPS and not want.converged
+        got = pre.action(r)
+        assert np.linalg.norm(got - want.solution) <= 1e-12 * np.linalg.norm(want.solution)
+
+
+def out_of_box_system(scale):
+    # duals scale*(1 + i) lie outside the unit box for every scale > 1/sqrt(2)
+    obj, system = itv_system()
+    bad = scale * (np.ones(obj.n) + 1j * np.ones(obj.n))
+    return obj, NewtonSystem(obj, system.x, np.real(bad), np.imag(bad))
+
+
+def test_truncated_cg_rejects_a_nonpositive_target_diagonal():
+    _, system = out_of_box_system(30.0)
+    assert np.min(np.diag(dense_ntilde(system, 0.5))) < 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="truncated_cg"):
+        build_for_system(system, "truncated_cg", rho=0.5)
+
+
+def test_truncated_cg_raises_on_inner_negative_curvature():
+    # a positive diagonal but an indefinite target: the build succeeds, and
+    # an application along a negative-curvature direction of the scaled
+    # target must raise, not return the sweeps before it
+    _, system = out_of_box_system(3.0)
+    nd = dense_ntilde(system, 0.5)
+    sqrt_diag = np.sqrt(np.diag(nd))
+    evals, evecs = np.linalg.eigh(nd / np.outer(sqrt_diag, sqrt_diag))
+    assert evals[0] < 0.0
+    pre = build_for_system(system, "truncated_cg", rho=0.5)
+    with pytest.raises(np.linalg.LinAlgError, match="truncated_cg"):
+        pre.action(sqrt_diag * evecs[:, 0])
 
 
 def test_preconditioner_action_symmetric_positive():
