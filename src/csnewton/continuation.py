@@ -13,32 +13,39 @@ converged is therefore a cost choice, not a property of the answer
 17(1), 1996).  ``ContinuationSchedule.plan`` resolves every stage's
 Newton settings in one place, as a tuple of ``Stage`` records:
 
+  * Every stage but the last takes one inexact Newton step
+    (``Stage.max_outer`` = 1; none if it starts converged) and hands its
+    primal-dual state to the next: short-step path following, as in
+    primal-dual interior-point methods (S. J. Wright, Primal-Dual
+    Interior-Point Methods, SIAM, 1997).  The last stage runs to
+    ``grad_tol`` within the caller's ``max_outer``.
   * Preconditioning is worth its cost only once mu is small enough for
     the regularizer to dominate the Newton matrix, and that point depends
     on the mode (``PRECOND_ENABLE_MU``).  ``exact_banded`` is switched on
     at mu <= 1e-2, i.e. stages 2-5 of the default 6-stage schedule to
     (c, mu) = (1e-2, 1e-5); switching it on at mu = 1e-1 as well is
-    slower at 256x256 (50.0 s against 39.0 s), because there the factor,
-    O(n n1^2) per outer iteration, costs more than the PCG iterations it
-    saves.  ``truncated_cg`` is switched on at mu <= 1e-4 (stages 4-5).
-  * Every stage but the last stops at a gradient tolerance of
-    ``max(grad_tol, INTERMEDIATE_GRAD_TOL)`` = 1e-3 at the default
-    grad_tol.  It is a floor, not a factor of grad_tol, so a caller's
-    loose grad_tol cannot let the intermediate stages take no iteration.
+    slower at 256x256 (23.7 and 38.1 s against 19.4 and 23.7 s in two
+    alternated pairs, 24 / 275 against 22 / 282 outer / PCG iterations),
+    because there a factor, O(n n1^2), costs more than the PCG
+    iterations it saves.  ``truncated_cg`` is switched on at
+    mu <= 1e-4 (stages 4-5).
   * Stages that run ``exact_banded`` use the forcing term
     ``min(eta, FACTORED_ETA)`` = 1e-2: once a factor is paid for, a
     back-solve is cheap next to it, and the tighter solve saves outer
     iterations, each of which pays for a new factor.  ``none`` and
     ``truncated_cg`` stages keep ``eta``.
 
-On the noiseless phantom from 25% of its DCT coefficients the last two
-rules take 128x128 ``exact_banded`` from 74 outer / 1781 PCG iterations
-to 46 / 1281 (median solve 5.56 -> 4.06 s on a 2-vCPU guest, one BLAS
-thread), 256x256 from 70 / 2237 to 43 / 1093, and 64x64
-``truncated_cg`` from 84 / 8755 to 63 / 5689, all at the same PSNR.
-Neighbours on 128x128: the floor alone gives 63 / 1093, eta = 3e-2
-gives 51 / 1139 and a 1e-4 floor 51 / 1711; a 1e-2 floor gives 41 / 935
-but has been measured on that one instance only.
+On the noiseless phantom from 25% of its DCT coefficients, instance
+seed 0, one step per intermediate stage in place of running each to a
+gradient tolerance of 1e-3 takes outer / PCG iterations from 44 / 1243
+to 24 / 372 for 128x128 ``exact_banded`` (50 / 1192 -> 25 / 334 at seed
+1), from 43 / 1157 to 22 / 282 at 256x256, from 61 / 3803 to 34 / 1256
+for 64x64 ``truncated_cg`` and from 64 / 24736 to 31 / 24614 for 64x64
+``none``, all at the same PSNR and with no rejected line search.
+Neighbours on 128x128: a 1e-2 floor gives 41 / 896, a 1e-1 floor
+34 / 664, two steps per stage 28 / 597, one step at eta = 1e-1 in the
+intermediate stages 27 / 367, and no continuation 25 / 492 (but 50 / 704
+against 46 / 561 at mu = 1e-7).
 """
 
 from __future__ import annotations
@@ -55,7 +62,6 @@ from .solver import SolverConfig, SolverState, solve_subproblem
 __all__ = [
     "ContinuationSchedule",
     "FACTORED_ETA",
-    "INTERMEDIATE_GRAD_TOL",
     "PRECOND_ENABLE_MU",
     "Stage",
     "make_schedule",
@@ -65,8 +71,6 @@ __all__ = [
 
 # Largest mu at which each preconditioner mode is switched on.
 PRECOND_ENABLE_MU = {"exact_banded": 1.0e-2, "truncated_cg": 1.0e-4}
-# Floor of the gradient tolerance of every stage but the last.
-INTERMEDIATE_GRAD_TOL = 1.0e-3
 # Ceiling of the PCG forcing term in stages that run exact_banded.
 FACTORED_ETA = 1.0e-2
 
@@ -86,7 +90,7 @@ class Stage:
     c: float
     mu: float
     precond_mode: str
-    grad_tol: float
+    max_outer: int
     eta: float
 
 
@@ -97,18 +101,19 @@ class ContinuationSchedule:
     stages: Tuple[Tuple[float, float], ...]
 
     def plan(self, config: SolverConfig) -> Tuple[Stage, ...]:
-        """Each stage's (c, mu) with the preconditioner mode, gradient
-        tolerance and forcing term it runs with under ``config``: the
-        mode is switched on at mu <= ``PRECOND_ENABLE_MU[mode]``."""
+        """Each stage's (c, mu) with the preconditioner mode, outer-iteration
+        cap and forcing term it runs with under ``config``: the mode is
+        switched on at mu <= ``PRECOND_ENABLE_MU[mode]``, and every stage
+        but the last takes one Newton step."""
         # "none" has no entry: it runs unpreconditioned whatever the threshold
         enable_mu = PRECOND_ENABLE_MU.get(config.precond_mode, 0.0)
         last = len(self.stages) - 1
         plan = []
         for j, (c, mu) in enumerate(self.stages):
             mode = config.precond_mode if mu <= enable_mu else "none"
-            grad_tol = config.grad_tol if j == last else max(config.grad_tol, INTERMEDIATE_GRAD_TOL)
+            max_outer = config.max_outer if j == last else 1
             eta = min(config.eta, FACTORED_ETA) if mode == "exact_banded" else config.eta
-            plan.append(Stage(c, mu, mode, grad_tol, eta))
+            plan.append(Stage(c, mu, mode, max_outer, eta))
         return tuple(plan)
 
 
@@ -147,18 +152,19 @@ def run_continuation(
     from the previous solution.
 
     ``obj_targets`` carries the problem data; its (c, mu) are overridden
-    stage by stage, and so are the preconditioner mode, ``grad_tol`` and
-    ``eta`` of ``config``: every stage but the last stops at
-    ``max(grad_tol, INTERMEDIATE_GRAD_TOL)``, and ``exact_banded`` stages
-    solve to ``min(eta, FACTORED_ETA)`` (see the module docstring for the
-    measurements).  The returned state holds the concatenated trace with
-    a stage column.
+    stage by stage, and so are the preconditioner mode, ``max_outer`` and
+    ``eta`` of ``config``: every stage but the last takes one Newton step,
+    the last runs to ``grad_tol``, and ``exact_banded`` stages solve PCG
+    to ``min(eta, FACTORED_ETA)``.  On the 128x128 phantom this takes
+    24 outer / 372 PCG iterations where stages run to a 1e-3 gradient
+    tolerance take 44 / 1243 (see the module docstring for the ladder).
+    The returned state holds the concatenated trace with a stage column.
     """
     state = init
     for j, stage in enumerate(schedule.plan(config)):
         obj_j = replace(obj_targets, c=stage.c, mu=stage.mu)
         config_j = replace(
-            config, precond_mode=stage.precond_mode, grad_tol=stage.grad_tol, eta=stage.eta
+            config, precond_mode=stage.precond_mode, max_outer=stage.max_outer, eta=stage.eta
         )
         if state is not None:  # solve_subproblem projects the warm-start duals
             state.outer_iter = 0

@@ -94,24 +94,31 @@ class InvariantReport:
 
 
 def check_solver_invariants(trace: Sequence[IterationRecord]) -> InvariantReport:
-    """Audit a completed trace: per-stage monotone objective, dual box,
-    the zero-start energy identity and the PCG stopping rule (the last
-    two need records produced with auditing enabled).
+    """Audit a completed trace: monotone objective, dual box, the
+    zero-start energy identity and the PCG stopping rule (the last two
+    need records produced with auditing enabled).
+
+    The objective must not rise between consecutive records of a stage,
+    nor across any accepted step, f against the ``f_in`` it started
+    from; the second check also covers stages of a single step.
 
     The energy identity is skipped for ``truncated_cg`` records: inner CG
     makes that preconditioner nonlinear, so outer PCG runs the flexible
     recurrence and the identity holds only approximately (relative gaps
     up to 6.2e-5 and 1.3e-4 on the 64x64 benchmark solves at instance
     seeds 0 and 1)."""
+    def raised(f_old: float, f_new: float) -> bool:
+        return f_new > f_old + 1e-12 * max(1.0, abs(f_old))
+
     report = InvariantReport(checked_records=len(trace))
     prev_f = {}
     for rec in trace:
         tag = f"stage {rec.stage} iter {rec.outer_iter}"
-        if rec.stage in prev_f and rec.f > prev_f[rec.stage] + 1e-12 * max(
-            1.0, abs(prev_f[rec.stage])
-        ):
+        if rec.stage in prev_f and raised(prev_f[rec.stage], rec.f):
             report.violations.append(f"{tag}: objective increased {prev_f[rec.stage]} -> {rec.f}")
         prev_f[rec.stage] = rec.f
+        if rec.accepted and rec.f_in is not None and raised(rec.f_in, rec.f):
+            report.violations.append(f"{tag}: accepted step raised f {rec.f_in} -> {rec.f}")
         if rec.dual_box > 1.0 + report.box_tol:
             report.violations.append(f"{tag}: dual box violated, |g|_inf = {rec.dual_box}")
         if rec.energy_explicit is not None and rec.precond_mode != "truncated_cg":

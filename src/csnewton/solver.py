@@ -118,6 +118,7 @@ class IterationRecord:
     energy_explicit: Optional[float] = None
     pcg_residual: Optional[float] = None
     precond_mode: str = "none"  # the stage's preconditioner
+    f_in: Optional[float] = None  # f at the iterate the step started from
 
 
 @dataclass
@@ -261,6 +262,7 @@ class LineSearchResult:
     backtracks: int
     accepted: bool
     f_new: float
+    f_x: float
 
 
 def line_search(
@@ -277,8 +279,9 @@ def line_search(
     dx^T Bhat dx (not its square root).  After one W* and two A actions
     the sufficient-decrease test is evaluated from the transforms of x and
     dx, so each trial costs O(l + m) flops and no operator calls.
-    Exhaustion returns ``alpha = 0`` and ``f_new = f(x)`` with
-    ``accepted=False``: a step that fails the test is never taken.
+    ``f_x`` is f(x) itself.  Exhaustion returns ``alpha = 0`` and
+    ``f_new = f(x)`` with ``accepted=False``: a step that fails the test
+    is never taken.
     """
     ydx = obj.W.adjoint_apply(dx)
     r = obj.A.apply(x) - obj.b
@@ -295,8 +298,8 @@ def line_search(
         if not np.isfinite(f_trial):
             raise NonFiniteError(f"non-finite objective in line search at j={j}")
         if f_trial <= f_x - TAU2 * a * energy:
-            return LineSearchResult(a, j, True, f_trial)
-    return LineSearchResult(0.0, max_backtracks, False, f_x)
+            return LineSearchResult(a, j, True, f_trial, f_x)
+    return LineSearchResult(0.0, max_backtracks, False, f_x, f_x)
 
 
 def _grad_and_norm(obj: SmoothedObjective, x: np.ndarray, counters: Counters):
@@ -408,6 +411,7 @@ def solve_subproblem(
                 energy_explicit=energy_explicit,
                 pcg_residual=pcg_residual,
                 precond_mode=config.precond_mode,
+                f_in=ls.f_x,
             )
         )
     else:

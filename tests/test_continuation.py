@@ -12,7 +12,7 @@ from csnewton.continuation import (
     run_continuation,
 )
 from csnewton.diagnostics import check_solver_invariants
-from csnewton.problems import make_itv_instance, shepp_logan
+from csnewton.problems import make_itv_instance, psnr, shepp_logan
 from csnewton.smoothing import SmoothedObjective
 from csnewton.solver import SolverConfig, fresh_state, solve_subproblem
 
@@ -117,20 +117,21 @@ def test_plan_default_schedule(mode, modes, etas):
     sched = make_schedule(1e-2, 1e-5)
     plan = sched.plan(SolverConfig(precond_mode=mode))
     assert plan == tuple(
-        Stage(c, mu, m, tol, eta)
-        for (c, mu), m, tol, eta in zip(sched.stages, modes, [1e-3] * 5 + [1e-6], etas)
+        Stage(c, mu, m, max_outer, eta)
+        for (c, mu), m, max_outer, eta in zip(sched.stages, modes, [1] * 5 + [100], etas)
     )
 
 
 def test_plan_keeps_tighter_caller_settings():
-    # an eta below FACTORED_ETA and a grad_tol above INTERMEDIATE_GRAD_TOL are kept
-    config = SolverConfig(precond_mode="exact_banded", eta=1e-3, grad_tol=5e-2)
+    # an eta below FACTORED_ETA is kept, and only the last stage runs to
+    # the caller's max_outer
+    config = SolverConfig(precond_mode="exact_banded", eta=1e-3, max_outer=7)
     plan = make_schedule(1e-2, 1e-5).plan(config)
     assert [s.eta for s in plan] == [1e-3] * 6
-    assert [s.grad_tol for s in plan] == [5e-2] * 6
-    # a single-stage schedule is the last stage: it keeps the caller's grad_tol
-    (only,) = make_schedule(1e-1, 1e-1).plan(SolverConfig(grad_tol=1e-8))
-    assert only.grad_tol == 1e-8
+    assert [s.max_outer for s in plan] == [1] * 5 + [7]
+    # a single-stage schedule is the last stage: it keeps the caller's max_outer
+    (only,) = make_schedule(1e-1, 1e-1).plan(SolverConfig(max_outer=30))
+    assert only.max_outer == 30
 
 
 def test_run_continuation_stage_bookkeeping(precond_modes):
@@ -204,11 +205,15 @@ def test_one_band_storage_serves_each_stage(monkeypatch):
     config = SolverConfig(max_outer=3, precond_mode="exact_banded")
     state = run_continuation(obj, config, make_schedule(1e-2, 1e-5))
     assert len(bands) == len(state.trace)
-    # the banded mode runs from stage 2 (mu <= 1e-2); stages 0-1 hold no band
+    # the banded mode runs from stage 2 (mu <= 1e-2); stages 0-1 hold no
+    # band, stages 2-4 take one step and so build one band each, and the
+    # final stage reuses its first band for every later factor
     for s in range(6):
         stage = [band for band, r in zip(bands, state.trace) if r.stage == s]
         if s < 2:
             assert stage and all(band is None for band in stage)
+        elif s < 5:
+            assert len(stage) == 1 and stage[0] is not None
         else:
             assert len(stage) >= 2 and stage[0] is not None
             assert all(band is stage[0] for band in stage)
@@ -264,3 +269,23 @@ def test_stage_error_carries_index():
     with pytest.raises(StageError) as err:
         run_continuation(bad, SolverConfig(max_outer=5), make_schedule(1e-1, 1e-2))
     assert err.value.stage == 0
+
+
+@pytest.mark.parametrize("mode", ["none", "exact_banded", "truncated_cg"])
+def test_intermediate_stages_take_one_step_to_the_same_minimizer(mode):
+    # short-step path following: each stage but the last takes one Newton
+    # step, and the last still converges to the minimizer at the targets
+    inst = make_itv_instance(shepp_logan(32, 32), 0.25, float("inf"), seed=0)
+    obj = SmoothedObjective(c=1e-2, mu=1e-5, A=inst.A, W=inst.W, b=inst.b)
+    config = SolverConfig(precond_mode=mode)
+    state = run_continuation(obj, config, make_schedule(1e-2, 1e-5))
+    assert state.converged
+    assert [sum(r.stage == s for r in state.trace) for s in range(5)] == [1] * 5
+    assert check_solver_invariants(state.trace).violations == []
+    direct = solve_subproblem(obj, config)
+    assert direct.converged
+
+    def image_psnr(x):
+        return psnr(x.reshape((32, 32), order="F"), inst.ground_truth)
+
+    assert image_psnr(state.x) == pytest.approx(image_psnr(direct.x), abs=1e-3)

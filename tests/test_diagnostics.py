@@ -81,6 +81,30 @@ def test_invariant_checker_flags_objective_increase():
     assert any("objective increased" in v for v in rep.violations)
 
 
+def test_invariant_checker_flags_an_accepted_step_that_raises_f():
+    # a stage of one step has no consecutive records to compare; each
+    # accepted record is checked against the f its step started from
+    record_in = record(f=2.0)
+    record_in.f_in = 1.5
+    rep = check_solver_invariants([record_in])
+    assert any("iter 1" in v and "raised f" in v for v in rep.violations)
+    rejected = record(f=2.0)
+    rejected.f_in, rejected.accepted = 1.5, False
+    assert check_solver_invariants([rejected]).passed
+    record_in.f_in = 2.0
+    assert check_solver_invariants([record_in]).passed
+
+
+def test_traced_continuation_records_f_in_and_passes_the_audit():
+    inst = make_itv_instance(shepp_logan(16, 16), 0.25, math.inf, 0)
+    obj = SmoothedObjective(c=1e-2, mu=1e-5, A=inst.A, W=inst.W, b=inst.b)
+    state = run_continuation(obj, SolverConfig(precond_mode="exact_banded"),
+                             make_schedule(1e-2, 1e-5))
+    assert state.converged
+    assert all(r.f_in is not None and r.f <= r.f_in for r in state.trace)
+    assert check_solver_invariants(state.trace).violations == []
+
+
 def test_invariant_checker_flags_energy_and_residual():
     trace = [record(it=1, e_expl=1.0, gdx=-0.5, resid=0.2, gnorm_in=1.0)]
     rep = check_solver_invariants(trace)
