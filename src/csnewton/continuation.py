@@ -28,7 +28,13 @@ Newton settings in one place, as a tuple of ``Stage`` records:
     alternated pairs, 24 / 275 against 22 / 282 outer / PCG iterations),
     because there a factor, O(n n1^2), costs more than the PCG
     iterations it saves.  ``truncated_cg`` is switched on at
-    mu <= 1e-4 (stages 4-5).
+    mu <= 1e-4 (stages 4-5), which no other switch-on value beats at
+    both instance seeds of 64x64 ``truncated_cg``.  Outer / PCG
+    iterations and median solve time of three, seed 0 then seed 1, for
+    switch-on at mu <= 1e-1: 34 / 1172 in 1.20 s, 34 / 1025 in 1.14 s;
+    1e-2: 34 / 1472 in 1.51 s, 34 / 993 in 1.04 s; 1e-3: 33 / 1341 in
+    1.32 s, 32 / 1194 in 1.16 s; 1e-4: 34 / 1256 in 1.13 s, 30 / 1280
+    in 1.17 s; 1e-5: 35 / 1969 in 1.73 s, 34 / 1596 in 1.41 s.
   * Stages that run ``exact_banded`` use the forcing term
     ``min(eta, FACTORED_ETA)`` = 1e-2: once a factor is paid for, a
     back-solve is cheap next to it, and the tighter solve saves outer

@@ -29,7 +29,6 @@ those sizes; larger images keep ``dctn`` (timings in
 from __future__ import annotations
 
 import functools
-import mmap
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -66,23 +65,19 @@ class LinearOperator:
     adjoint_apply : callable
         Maps a length-``rows`` vector to a length-``cols`` vector;
         implements the conjugate transpose of ``apply``.
-    curvature_band : callable, optional
-        ``curvature_band(d1, d4, d23, out=None)`` writes the LAPACK
-        upper-band storage of the real symmetric S with
-        S v = synth_real(op, d1*r + d23*i, d4*i + d23*r), where
-        (r, i) = analysis_parts(op, v), into ``out`` (a Fortran-order array
-        of the band's shape, whose old contents are overwritten) or into a
-        new Fortran-order array, and returns it.  Required by the exact
-        banded preconditioner; ``None`` where S is not cheap to write down.
     curvature_diagonals : callable, optional
         ``curvature_diagonals(d1, d4, d23)`` returns ``(offsets, diags)``,
-        the nonzero upper diagonals of the same S when it is a stencil of a
-        few diagonals: ``offsets`` is strictly increasing and starts at 0,
+        the nonzero upper diagonals of the real symmetric S with
+        S v = synth_real(op, d1*r + d23*i, d4*i + d23*r), where
+        (r, i) = analysis_parts(op, v), when S is a stencil of a few
+        diagonals: ``offsets`` is strictly increasing and starts at 0,
         and row k of ``diags`` holds S[j - offsets[k], j] at column j (the
         LAPACK band layout, zero for j < offsets[k]).  When present, the
         Newton system assembles S once with :func:`stencil_matrix` and
         applies it as one sparse product instead of an analysis and a
-        synthesis; the 2D gradient has it, dense dictionaries do not.
+        synthesis, and the exact banded preconditioner copies the
+        diagonals into its band; the 2D gradient has it, dense
+        dictionaries do not.
     """
 
     rows: int
@@ -90,7 +85,6 @@ class LinearOperator:
     field: str
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray], np.ndarray]
-    curvature_band: Optional[Callable[..., np.ndarray]] = field(default=None, repr=False)
     curvature_diagonals: Optional[
         Callable[[np.ndarray, np.ndarray, np.ndarray], Tuple[List[int], np.ndarray]]
     ] = field(default=None, repr=False)
@@ -238,33 +232,6 @@ def _grad2d_curvature_diagonals(d1, d4, d23, n1: int, n2: int) -> Tuple[List[int
     return offsets, diags
 
 
-def _band_storage(out: Optional[np.ndarray], shape: Tuple[int, int]) -> np.ndarray:
-    """``out`` zeroed, or a new zero Fortran-order array of ``shape``.
-
-    A new band is an anonymous memory map, not a heap block: a band is
-    large (17 MB at 128x128) and outlives many small arrays, and a freed
-    heap block of that size is split by later small allocations, so the
-    next band extends the heap and the peak RSS creeps up with every
-    band freed.  Unmapped, its pages go straight back to the system.
-    """
-    if out is None:
-        pages = mmap.mmap(-1, shape[0] * shape[1] * np.dtype(np.float64).itemsize)
-        return np.frombuffer(pages, dtype=np.float64).reshape(shape, order="F")
-    if out.shape != shape or not out.flags.f_contiguous:
-        raise ValueError(f"band storage must be a Fortran-order {shape} array")
-    out[...] = 0.0
-    return out
-
-
-def _grad2d_curvature_band(d1, d4, d23, n1: int, n2: int, out=None) -> np.ndarray:
-    """LAPACK upper band of the stencil S, bandwidth n1."""
-    offsets, diags = _grad2d_curvature_diagonals(d1, d4, d23, n1, n2)
-    ab = _band_storage(out, (n1 + 1, n1 * n2))
-    for k, row in zip(offsets, diags):
-        ab[n1 - k] = row
-    return ab
-
-
 def stencil_matrix(offsets, diags: np.ndarray, scale: float = 1.0, shift: float = 0.0) -> dia_array:
     """scale*S + shift*I as a sparse DIA matrix, for the symmetric S whose
     upper diagonals ``(offsets, diags)`` a ``curvature_diagonals`` kernel
@@ -296,9 +263,6 @@ def make_gradient2d(n1: int, n2: int) -> LinearOperator:
         field="complex",
         apply=lambda z: _grad2d_synthesis(z, n1, n2),
         adjoint_apply=lambda x: _grad2d_analysis(x, n1, n2),
-        curvature_band=lambda d1, d4, d23, out=None: _grad2d_curvature_band(
-            d1, d4, d23, n1, n2, out
-        ),
         curvature_diagonals=lambda d1, d4, d23: _grad2d_curvature_diagonals(d1, d4, d23, n1, n2),
         fast_synth_real=lambda p, q: _grad2d_synth_channels(p, q, n1, n2),
         fast_analysis_parts=lambda v: _grad2d_channels(v, n1, n2),
@@ -391,23 +355,12 @@ def make_dense_dictionary(entries: np.ndarray, field: str = "real") -> LinearOpe
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
         raise ValueError("entries must be finite")
     rows, cols = mat.shape
-    re, im = mat.real, mat.imag
-
-    def curvature_band(d1, d4, d23, out=None):
-        cross = (re * d23) @ im.T
-        s = (re * d1) @ re.T + (im * d4) @ im.T - cross - cross.T
-        i, j = np.triu_indices(rows)  # full band: (i, j) at ab[rows - 1 + i - j, j]
-        ab = _band_storage(out, (rows, rows))
-        ab[rows - 1 + i - j, j] = s[i, j]
-        return ab
-
     return LinearOperator(
         rows=rows,
         cols=cols,
         field=field,
         apply=lambda z: mat @ z,
         adjoint_apply=lambda x: mat.conj().T @ x,
-        curvature_band=curvature_band,
     )
 
 

@@ -6,10 +6,11 @@ mu shrinks.  Replacing A^T A by rho*I (``RHO`` = 0.5, the shift the
 solver and ``csnewton spectrum`` use) therefore keeps the dominant term
 and yields a target that is either
 
-  * factorized with a symmetric banded Cholesky when the dictionary's
-    ``curvature_band`` kernel writes the LAPACK band of sym(Bt) from the
-    Newton system's diagonals (2D gradients give a 7-diagonal stencil with
-    the pixel-column stride as bandwidth), or
+  * factorized with a symmetric banded Cholesky.  Its LAPACK band is
+    written here from the Newton system's stencil, the upper diagonals of
+    sym(Bt) (2D gradients give a 7-diagonal stencil with the pixel-column
+    stride as bandwidth); a system without one fills a full band from the
+    columns of its matrix-free ``symb_matvec``.
   * applied approximately by a fixed number of CG sweeps.  When the
     dictionary has a ``curvature_diagonals`` stencil (2D gradients) they
     run on the Jacobi-scaled target S^{-1/2} N S^{-1/2}, S the diagonal
@@ -20,12 +21,13 @@ and yields a target that is either
     the Newton system's matrix-free ``ntilde_action`` (an analysis, a
     diagonal scaling and a synthesis).
 
-The band is shifted and factorized in place, in the storage of the
+The band is written and factorized in place, in the storage of the
 previous factor when the caller hands it over (``release_band``), as the
 solver does from each outer iteration to the next, so one band's storage
-serves a whole continuation stage.  The factor's input is
-checked for finite values, the back-solve's is not: PCG rejects a
-non-finite preconditioned residual itself.
+serves a whole continuation stage.  Only sym(Bt) is checked for finite
+values, not the band or the back-solve's input: PCG rejects a non-finite
+preconditioned residual itself.  A factor that fails means the duals were
+invalid and raises ``LinAlgError``; no larger shift is tried.
 
 The fixed inner count, ``TRUNCATED_CG_SWEEPS`` (15, the CLI's ``cg15``),
 keeps the approximate application deterministic, but zero-start CG is not
@@ -40,8 +42,9 @@ curvature, means the duals were invalid: both raise ``LinAlgError``.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, eigvalsh
@@ -58,7 +61,6 @@ __all__ = [
     "RHO",
 ]
 
-_MAX_SHIFT_DOUBLINGS = 60
 TRUNCATED_CG_SWEEPS = 15
 RHO = 0.5  # the shift rho of the target c*sym(Bt) + rho*I
 
@@ -68,9 +70,8 @@ class Preconditioner:
     """A fixed action z -> approx (c*sym(Bt) + rho*I)^{-1} z: linear SPD
     for ``exact_banded``, deterministic but nonlinear for ``truncated_cg``."""
 
-    rho: float
     action: Optional[Callable[[np.ndarray], np.ndarray]]
-    rebuilds: int = 0
+    rebuilds: int = 0  # always 0; the benchmark's tracer still reports it
     inner: int = 0
     band: Optional[np.ndarray] = None  # the banded Cholesky factor, exact_banded only
 
@@ -89,7 +90,7 @@ def build_for_system(
     band into ``band`` when given, the storage of a released factor of the
     same shape; the other modes ignore it."""
     if mode == "none":
-        return Preconditioner(rho, None)
+        return Preconditioner(None)
 
     if mode == "truncated_cg":
         n_action, s = _jacobi_scaled_target(system, rho)
@@ -103,37 +104,76 @@ def build_for_system(
                 )
             return s * inner.solution
 
-        return Preconditioner(rho, apply_approx, inner=TRUNCATED_CG_SWEEPS)
+        return Preconditioner(apply_approx, inner=TRUNCATED_CG_SWEEPS)
 
     if mode == "exact_banded":
-        write_band = system.obj.W.curvature_band
-        if write_band is None:
-            raise ValueError("exact banded preconditioning needs a dictionary "
-                             "with a curvature band kernel (2D gradient or dense)")
-        c = system.obj.c
-        rho_eff = rho
-        for rebuilds in range(_MAX_SHIFT_DOUBLINGS):
-            # the factor overwrites the band, so each shift rewrites it
-            # into the same storage
-            band = write_band(system.d1, system.d4, system.d23, out=band)
-            band *= c
-            band[-1] += rho_eff
-            try:
-                cb = cholesky_banded(band, overwrite_ab=True, lower=False)
-                break
-            except np.linalg.LinAlgError:
-                rho_eff *= 2.0
-        else:
-            raise np.linalg.LinAlgError("banded factorization failed at every shift")
-
+        band = _target_band(system, rho, band)
+        try:
+            cb = cholesky_banded(band, overwrite_ab=True, lower=False, check_finite=False)
+        except np.linalg.LinAlgError as err:
+            raise np.linalg.LinAlgError(
+                f"exact_banded: c*sym(Bt) + rho*I is not positive definite ({err})"
+            ) from err
         return Preconditioner(
-            rho_eff,
-            lambda r: cho_solve_banded((cb, False), r, check_finite=False),
-            rebuilds=rebuilds,
-            band=cb,
+            lambda r: cho_solve_banded((cb, False), r, check_finite=False), band=cb
         )
 
     raise ValueError(f"unknown preconditioner mode {mode!r}")
+
+
+def _band_storage(out: Optional[np.ndarray], shape: Tuple[int, int]) -> np.ndarray:
+    """``out`` zeroed, or a new zero Fortran-order array of ``shape``.
+
+    A new band is an anonymous memory map, not a heap block: a band is
+    large (17 MB at 128x128) and outlives many small arrays, and a freed
+    heap block of that size is split by later small allocations, so the
+    next band extends the heap and the peak RSS creeps up with every
+    band freed.  Unmapped, its pages go straight back to the system.
+    """
+    if out is None:
+        pages = mmap.mmap(-1, shape[0] * shape[1] * np.dtype(np.float64).itemsize)
+        return np.frombuffer(pages, dtype=np.float64).reshape(shape, order="F")
+    if out.shape != shape or not out.flags.f_contiguous:
+        raise ValueError(f"band storage must be a Fortran-order {shape} array")
+    out[...] = 0.0
+    return out
+
+
+def _dense(action: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
+    """The n x n matrix of a linear action, one unit vector at a time."""
+    out = np.empty((n, n))
+    e = np.zeros(n)
+    for j in range(n):
+        e[j] = 1.0
+        out[:, j] = action(e)
+        e[j] = 0.0
+    return out
+
+
+def _target_band(system, rho: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The LAPACK upper band of c*sym(Bt) + rho*I, written into ``out``
+    (see :func:`_band_storage`).  With a stencil the bandwidth is its
+    largest offset and each of its diagonals is scaled into the band once;
+    without one the band is full, filled from the columns of sym(Bt)."""
+    c, n = system.obj.c, system.obj.n
+    if system.stencil is not None:
+        offsets, symb = system.stencil
+        kd = offsets[-1]
+    else:
+        symb = _dense(system.symb_matvec, n)
+        kd = n - 1
+    if not np.all(np.isfinite(symb)):
+        raise ValueError("exact_banded: sym(Bt) is not finite")
+    band = _band_storage(out, (kd + 1, n))
+    if system.stencil is not None:
+        # entry (i, i + k) is at column i + k of row k, in the stencil as in the band
+        for k, row in zip(offsets, symb):
+            np.multiply(row, c, out=band[kd - k])
+    else:
+        i, j = np.triu_indices(n)
+        band[kd + i - j, j] = c * symb[i, j]
+    band[kd] += rho
+    return band
 
 
 def _jacobi_scaled_target(system, rho: float):
@@ -199,15 +239,8 @@ def spectrum_report(system, rho: float, nu: float) -> SpectrumReport:
     if n > 4096:
         raise ValueError(f"dense spectrum limited to n <= 4096, got {n}")
 
-    bd = np.empty((n, n))
-    nd = np.empty((n, n))
-    ntilde = system.ntilde_action(rho)
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        bd[:, j] = system.bhat_matvec(e)
-        nd[:, j] = ntilde(e)
-        e[j] = 0.0
+    bd = _dense(system.bhat_matvec, n)
+    nd = _dense(system.ntilde_action(rho), n)
     bd = 0.5 * (bd + bd.T)
     nd = 0.5 * (nd + nd.T)
 

@@ -271,6 +271,27 @@ def test_stage_error_carries_index():
     assert err.value.stage == 0
 
 
+def test_failed_banded_factor_is_a_stage_error(monkeypatch):
+    # duals far outside the box from the first banded stage on: its factor
+    # fails, and the error names the mode and carries the stage
+    newton_system = csnewton.solver.NewtonSystem
+
+    def out_of_box(obj, x, g_re, g_im):
+        if obj.mu <= PRECOND_ENABLE_MU["exact_banded"]:
+            g_re = g_im = np.full(g_re.shape, 30.0)
+        return newton_system(obj, x, g_re, g_im)
+
+    monkeypatch.setattr(csnewton.solver, "NewtonSystem", out_of_box)
+    obj = small_itv_objective(1e-2, 1e-5)
+    config = SolverConfig(precond_mode="exact_banded")
+    schedule = make_schedule(1e-2, 1e-5)
+    first_banded = [s.precond_mode for s in schedule.plan(config)].index("exact_banded")
+    with pytest.raises(StageError, match="exact_banded") as err:
+        run_continuation(obj, config, schedule)
+    assert err.value.stage == first_banded == 2
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+
 @pytest.mark.parametrize("mode", ["none", "exact_banded", "truncated_cg"])
 def test_intermediate_stages_take_one_step_to_the_same_minimizer(mode):
     # short-step path following: each stage but the last takes one Newton

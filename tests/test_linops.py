@@ -102,34 +102,20 @@ def test_gradient2d_adjoint_and_curvature_band(n1, n2):
     assert_adjoint_consistent(W, rng)
     n = n1 * n2
     d1, d4, d23 = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n), rng.uniform(-1.0, 1.0, n)
-    ab = W.curvature_band(d1, d4, d23)
-    assert ab.shape == (n1 + 1, n) and ab.flags.f_contiguous
-    # bit for bit the band of the sparse sum of the four products of
-    # S = Dh^T d1 Dh + Dv^T d4 Dv + Dh^T d23 Dv + Dv^T d23 Dh, W = Dh^T - i Dv^T
+    offsets, diags = W.curvature_diagonals(d1, d4, d23)
+    assert offsets[-1] == n1 and diags.shape == (len(offsets), n)
+    # bit for bit the upper diagonals of the sparse sum of the four products of
+    # S = Dh^T d1 Dh + Dv^T d4 Dv + Dh^T d23 Dv + Dv^T d23 Dh, W = Dh^T - i Dv^T,
+    # which has no others
     dense = to_dense(W)
     dh = sp.csr_matrix(dense.real.T)
     dv = sp.csr_matrix(-dense.imag.T)
     s = (dh.T @ sp.diags(d1) @ dh + dv.T @ sp.diags(d4) @ dv
          + dh.T @ sp.diags(d23) @ dv + dv.T @ sp.diags(d23) @ dh)
-    for k in range(n1 + 1):
-        assert ab[n1 - k, k:].tobytes() == s.diagonal(k).tobytes()
-
-
-def _parent_curvature_band(d1, d4, d23, n1, n2):
-    """The band writer the stencil kernel replaced, kept verbatim as the
-    bit-for-bit reference of ``curvature_band``."""
-    ah, av, ac = d1.copy(), d4.copy(), d23.copy()
-    ah[-n1:] = ac[-n1:] = 0.0
-    av[n1 - 1 :: n1] = ac[n1 - 1 :: n1] = 0.0
-    ab = np.zeros((n1 + 1, n1 * n2), order="F")
-    h, v = ah.copy(), av.copy()
-    h[n1:] += ah[:-n1]
-    v[1:] += av[:-1]
-    ab[n1] = h + v + ac + ac
-    ab[n1 - 1, 1:] -= av[:-1] + ac[:-1]
-    ab[1, n1:] += ac[:-n1]
-    ab[0, n1:] -= ah[:-n1] + ac[:-n1]
-    return ab
+    rows = dict(zip(offsets, diags))
+    for k in range(n):
+        want = rows[k][k:] if k in rows else np.zeros(n - k)
+        assert want.tobytes() == s.diagonal(k).tobytes()
 
 
 @pytest.mark.parametrize("n1,n2", [(2, 5), (5, 2), (24, 40), (40, 24), (64, 64)])
@@ -149,13 +135,6 @@ def test_gradient2d_stencil_matches_analysis_synthesis(n1, n2):
         assert np.linalg.norm(stencil @ v - ref) <= 1e-14 * np.linalg.norm(ref)
         ref = c * ref + rho * v
         assert np.linalg.norm(shifted @ v - ref) <= 1e-14 * np.linalg.norm(ref)
-    reference = _parent_curvature_band(d1, d4, d23, n1, n2)
-    ab = W.curvature_band(d1, d4, d23)
-    assert ab.flags.f_contiguous and ab.tobytes() == reference.tobytes()
-    # written into used storage, the band is the same bits
-    used = np.asfortranarray(rng.standard_normal(ab.shape))
-    assert W.curvature_band(d1, d4, d23, out=used) is used
-    assert used.tobytes() == reference.tobytes()
 
 
 def _grad_channels_fortran(x, n1, n2):

@@ -49,24 +49,24 @@ def solves():
     operators = tracer.traced_operators(spans, inst.A, inst.W)
     with tracer.traced(spans):
         traced = solve(*operators)
-    return plain, traced, tracer.summarize(spans.spans)
+    return plain, traced, tracer.summarize(spans.spans), spans.spans
 
 
 @pytest.mark.parametrize("name", SPANS)
 def test_every_traced_entry_point_records_calls(solves, name):
-    _, _, totals = solves
+    _, _, totals, _ = solves
     assert name in totals and totals[name].calls >= 1
 
 
 def test_tracing_leaves_the_solve_unchanged(solves):
-    plain, traced, _ = solves
+    plain, traced, _, _ = solves
     assert plain.x.tobytes() == traced.x.tobytes()
     assert plain.counters == traced.counters
     assert traced.counters.total_matvecs() > 0
 
 
 def test_krylov_counts_match_the_trace(solves):
-    _, traced, totals = solves
+    _, traced, totals, _ = solves
     infos = totals["krylov.pcg"].infos
     assert sum(i["iters"] for i in infos) == sum(r.pcg_iters for r in traced.trace)
     assert sum(i["capped"] for i in infos) == sum(not r.pcg_converged for r in traced.trace)
@@ -75,8 +75,20 @@ def test_krylov_counts_match_the_trace(solves):
 def test_every_bhat_action_reaches_the_traced_measurement_operator(solves):
     # each PCG iteration applies A^T A through A's own apply and adjoint_apply,
     # so a fused normal operator would hide the DCT from linops.A
-    _, traced, totals = solves
+    _, traced, totals, _ = solves
     assert totals["linops.A"].calls >= 2 * sum(r.pcg_iters for r in traced.trace)
+
+
+def test_each_banded_build_records_one_factor_and_no_shift_retry(solves):
+    # every build reports shift_retries 0, and each exact_banded build
+    # factors once: a silent precond.build or precond.factor hook fails here
+    _, traced, totals, spans = solves
+    builds = totals["precond.build"]
+    assert builds.calls == len(traced.trace) == len(builds.infos)
+    assert all(info["shift_retries"] == 0 for info in builds.infos)
+    banded = sum(r.precond_mode == "exact_banded" for r in traced.trace)
+    parents = [spans[parent][0] for name, _, _, parent, _ in spans if name == "precond.factor"]
+    assert banded >= 1 and parents == ["precond.build"] * banded
 
 
 def test_precond_inner_iters_match_traced_applications():

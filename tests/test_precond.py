@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from pcg_reference import reference_pcg_solve
+from scipy.linalg import cholesky_banded
 from test_linops import band_to_dense
 
 from csnewton.linops import (
@@ -10,7 +11,12 @@ from csnewton.linops import (
     make_zero_operator,
     synth_real,
 )
-from csnewton.precond import TRUNCATED_CG_SWEEPS, build_for_system, spectrum_report
+from csnewton.precond import (
+    TRUNCATED_CG_SWEEPS,
+    _target_band,
+    build_for_system,
+    spectrum_report,
+)
 from csnewton.problems import make_itv_instance, shepp_logan
 from csnewton.smoothing import SmoothedObjective
 from csnewton.solver import NewtonSystem, SolverConfig, project_linf
@@ -66,8 +72,8 @@ def dense_ntilde(system, rho):
 
 def matrix_free_symb(system):
     """Dense sym(Bt) from analysis -> (d1, d4, d23) -> synthesis, written
-    here so that it shares no code with the stencil kernels behind
-    ``curvature_band``, ``symb_matvec`` and ``ntilde_action``."""
+    here so that it shares no code with the stencil kernel behind the
+    band, ``symb_matvec`` and ``ntilde_action``."""
     W = system.obj.W
 
     def action(v):
@@ -79,18 +85,56 @@ def matrix_free_symb(system):
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_SYSTEMS))
 def test_curvature_band_matches_matrix_free_oracle(kind):
+    # the gradient systems write the band from their stencil, the dense
+    # ones from the columns of symb_matvec
     obj, system = ORACLE_SYSTEMS[kind]()
-    ab = obj.W.curvature_band(system.d1, system.d4, system.d23)
-    oracle = matrix_free_symb(system)
+    assert (system.stencil is None) == kind.startswith("dense")
+    ab = _target_band(system, 0.5)
+    oracle = obj.c * matrix_free_symb(system) + 0.5 * np.eye(obj.n)
     scale = np.max(np.abs(oracle))
+    assert ab.flags.f_contiguous
     np.testing.assert_allclose(band_to_dense(ab), oracle, rtol=0, atol=1e-13 * scale)
+
+
+def _parent_curvature_band(d1, d4, d23, n1, n2):
+    """The band writer the stencil kernel replaced, kept verbatim as the
+    bit-for-bit reference of the band of sym(Bt)."""
+    ah, av, ac = d1.copy(), d4.copy(), d23.copy()
+    ah[-n1:] = ac[-n1:] = 0.0
+    av[n1 - 1 :: n1] = ac[n1 - 1 :: n1] = 0.0
+    ab = np.zeros((n1 + 1, n1 * n2), order="F")
+    h, v = ah.copy(), av.copy()
+    h[n1:] += ah[:-n1]
+    v[1:] += av[:-1]
+    ab[n1] = h + v + ac + ac
+    ab[n1 - 1, 1:] -= av[:-1] + ac[:-1]
+    ab[1, n1:] += ac[:-n1]
+    ab[0, n1:] -= ah[:-n1] + ac[:-n1]
+    return ab
+
+
+@pytest.mark.parametrize("n1,n2", [(2, 5), (5, 2), (24, 40), (40, 24), (64, 64)])
+def test_gradient_band_is_the_parent_band_bit_for_bit(n1, n2):
+    # c*S + rho*I, S from the parent's band writer, is the band that
+    # exact_banded factors, to the last bit, fresh or in used storage
+    obj, system = itv_system(n1=n1, n2=n2, mu=1e-3, c=0.3)
+    rho = 0.7
+    reference = obj.c * _parent_curvature_band(system.d1, system.d4, system.d23, n1, n2)
+    reference[-1] += rho
+    ab = _target_band(system, rho)
+    assert ab.flags.f_contiguous and ab.tobytes() == reference.tobytes()
+    used = np.asfortranarray(np.random.default_rng(7).standard_normal(ab.shape))
+    assert _target_band(system, rho, out=used) is used
+    assert used.tobytes() == reference.tobytes()
+    pre = build_for_system(system, "exact_banded", rho)
+    assert pre.band.tobytes() == cholesky_banded(reference).tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_SYSTEMS))
 def test_exact_banded_matches_matrix_free_oracle(kind):
     obj, system = ORACLE_SYSTEMS[kind]()
     pre = build_for_system(system, "exact_banded", rho=0.5)
-    nd = obj.c * matrix_free_symb(system) + pre.rho * np.eye(obj.n)
+    nd = obj.c * matrix_free_symb(system) + 0.5 * np.eye(obj.n)
     rng = np.random.default_rng(10)
     for _ in range(5):
         r = rng.standard_normal(obj.n)
@@ -115,7 +159,7 @@ def test_exact_banded_apply_then_multiply_is_identity():
     rng = np.random.default_rng(2)
     for _ in range(5):
         r = rng.standard_normal(obj.n)
-        back = system.ntilde_action(pre.rho)(pre.action(r))
+        back = system.ntilde_action(0.5)(pre.action(r))
         np.testing.assert_allclose(back, r, rtol=1e-10, atol=1e-12)
 
 
@@ -127,7 +171,7 @@ def test_truncated_cg_dominant_shift_limit():
     assert pre.inner == 15
     rng = np.random.default_rng(3)
     r = rng.standard_normal(obj.n)
-    back = system.ntilde_action(pre.rho)(pre.action(r))
+    back = system.ntilde_action(1e6)(pre.action(r))
     assert np.linalg.norm(back - r) <= 1e-4 * np.linalg.norm(r)
 
 
@@ -207,20 +251,24 @@ def test_second_build_reuses_the_released_band():
     assert second.action(r).tobytes() == fresh.action(r).tobytes()
 
 
-def test_factorization_breakdown_doubles_shift():
-    # duals far outside the box make the curvature indefinite; the builder
-    # must double rho until the factorization succeeds and flag rebuilds
-    obj, system = itv_system(g=None)
-    storage = build_for_system(system, "exact_banded", rho=0.5).release_band()
-    bad = 30.0 * (np.ones(obj.n) + 1j * np.ones(obj.n))
-    system = NewtonSystem(obj, system.x, np.real(bad), np.imag(bad))
-    pre = build_for_system(system, "exact_banded", rho=1e-8, band=storage)
-    assert pre.rebuilds >= 1
-    assert pre.rho > 1e-8
-    assert pre.band is storage  # every retry rewrote the same storage
-    r = np.random.default_rng(5).standard_normal(obj.n)
-    back = system.ntilde_action(pre.rho)(pre.action(r))
-    np.testing.assert_allclose(back, r, rtol=1e-8, atol=1e-10)
+def test_factorization_breakdown_raises():
+    # duals far outside the box make the target indefinite: the factor
+    # fails, and no larger shift is tried in its place
+    _, system = out_of_box_system(30.0)
+    assert np.min(np.linalg.eigvalsh(dense_ntilde(system, 0.5))) < 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="exact_banded"):
+        build_for_system(system, "exact_banded", rho=0.5)
+
+
+@pytest.mark.parametrize("kind", ["grad8x4", "dense_real"])
+def test_exact_banded_rejects_a_non_finite_curvature(kind):
+    obj, system = ORACLE_SYSTEMS[kind]()
+    if system.stencil is not None:
+        system.stencil[1][0, 3] = np.nan
+    else:
+        system.d1[2] = np.inf
+    with pytest.raises(ValueError, match="exact_banded"):
+        build_for_system(system, "exact_banded", rho=0.5)
 
 
 # ---------------------------------------------------------------------------
