@@ -26,7 +26,7 @@ import numpy as np
 from . import diagnostics
 from .continuation import make_schedule, run_continuation
 from .linops import make_dense_dictionary, make_gradient2d
-from .precond import RHO, spectrum_report
+from .precond import spectrum_report
 from .problems import ProblemInstance, make_itv_instance, psnr, relative_error, shepp_logan
 from .smoothing import SmoothedObjective
 from .solver import SolverConfig, solve_subproblem
@@ -166,7 +166,8 @@ def _build_problem(cfg):
         image = _load_image(cfg)
         inst = make_itv_instance(image, cfg["sampling_ratio"], cfg["target_psnr"], cfg["seed"])
         return inst, image
-    # l1-dense: orthonormal-row random dictionary on a random sparse-analysis signal
+    # l1-dense: a random Parseval frame W (n x 2n, W W* = I) and a Gaussian signal,
+    # whose analysis W* x is dense; it tests convergence, not recovery
     rng = np.random.default_rng(cfg["seed"])
     n = cfg["size"]
     el = 2 * n
@@ -290,7 +291,7 @@ def _cmd_spectrum(args) -> int:
         writer.writerow(["system", "stage", "iter", "index", "raw_lambda", "precond_lambda",
                          "sigma", "delta", "chi", "bound", "bound_kernel"])
         for sys_idx, snap in enumerate(state.snapshots):
-            rep = spectrum_report(snap.system, RHO, nu)
+            rep = spectrum_report(snap.system, nu)
             for i, (raw, pre) in enumerate(zip(rep.raw_eigs, rep.precond_eigs)):
                 writer.writerow(
                     [sys_idx, snap.stage, snap.outer_iter, i, f"{raw:.10e}", f"{pre:.10e}",

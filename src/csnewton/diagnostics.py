@@ -23,25 +23,28 @@ __all__ = [
     "rate_probe",
 ]
 
+# relative error bounds of the finite-difference gradient and Hessian checks
+GRAD_TOL = 1.0e-6
+HESS_TOL = 1.0e-5
+# slack of the dual box |g|_inf <= 1 and relative bound on the energy-identity gap
+BOX_TOL = 1.0e-12
+ENERGY_TOL = 1.0e-8
+
 
 @dataclass
 class DerivativeReport:
     trials: int
     grad_max_rel_err: float
     hess_max_rel_err: float
-    grad_tol: float = 1.0e-6
-    hess_tol: float = 1.0e-5
 
     @property
     def passed(self) -> bool:
-        return self.grad_max_rel_err <= self.grad_tol and self.hess_max_rel_err <= self.hess_tol
+        return self.grad_max_rel_err <= GRAD_TOL and self.hess_max_rel_err <= HESS_TOL
 
     def rows(self) -> List[Tuple[str, float, float, bool]]:
         return [
-            ("gradient", self.grad_max_rel_err, self.grad_tol,
-             self.grad_max_rel_err <= self.grad_tol),
-            ("hessian_action", self.hess_max_rel_err, self.hess_tol,
-             self.hess_max_rel_err <= self.hess_tol),
+            ("gradient", self.grad_max_rel_err, GRAD_TOL, self.grad_max_rel_err <= GRAD_TOL),
+            ("hessian_action", self.hess_max_rel_err, HESS_TOL, self.hess_max_rel_err <= HESS_TOL),
         ]
 
 
@@ -80,8 +83,6 @@ def check_derivatives(obj: SmoothedObjective, trials: int = 50, seed: int = 0) -
 class InvariantReport:
     violations: List[str] = field(default_factory=list)
     checked_records: int = 0
-    box_tol: float = 1.0e-12
-    energy_tol: float = 1.0e-8
 
     @property
     def passed(self) -> bool:
@@ -105,7 +106,7 @@ def check_solver_invariants(trace: Sequence[IterationRecord]) -> InvariantReport
     The energy identity is skipped for ``truncated_cg`` records: inner CG
     makes that preconditioner nonlinear, so outer PCG runs the flexible
     recurrence and the identity holds only approximately (relative gaps
-    up to 6.2e-5 and 1.3e-4 on the 64x64 benchmark solves at instance
+    up to 4.61e-4 and 4.23e-4 on the 64x64 benchmark solves at instance
     seeds 0 and 1)."""
     def raised(f_old: float, f_new: float) -> bool:
         return f_new > f_old + 1e-12 * max(1.0, abs(f_old))
@@ -119,11 +120,11 @@ def check_solver_invariants(trace: Sequence[IterationRecord]) -> InvariantReport
         prev_f[rec.stage] = rec.f
         if rec.accepted and rec.f_in is not None and raised(rec.f_in, rec.f):
             report.violations.append(f"{tag}: accepted step raised f {rec.f_in} -> {rec.f}")
-        if rec.dual_box > 1.0 + report.box_tol:
+        if rec.dual_box > 1.0 + BOX_TOL:
             report.violations.append(f"{tag}: dual box violated, |g|_inf = {rec.dual_box}")
         if rec.energy_explicit is not None and rec.precond_mode != "truncated_cg":
             gap = abs(rec.energy_explicit + rec.grad_dot_dx)
-            if gap > report.energy_tol * max(1.0, abs(rec.grad_dot_dx)):
+            if gap > ENERGY_TOL * max(1.0, abs(rec.grad_dot_dx)):
                 report.violations.append(f"{tag}: energy identity off by {gap}")
         if rec.pcg_residual is not None:
             if rec.pcg_residual > rec.eta * rec.grad_norm_in * (1.0 + 1e-10):

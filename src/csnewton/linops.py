@@ -46,7 +46,7 @@ __all__ = [
     "make_zero_operator",
     "estimate_delta",
     "stencil_matrix",
-    "to_dense",
+    "dense_columns",
 ]
 
 
@@ -232,18 +232,15 @@ def _grad2d_curvature_diagonals(d1, d4, d23, n1: int, n2: int) -> Tuple[List[int
     return offsets, diags
 
 
-def stencil_matrix(offsets, diags: np.ndarray, scale: float = 1.0, shift: float = 0.0) -> dia_array:
-    """scale*S + shift*I as a sparse DIA matrix, for the symmetric S whose
-    upper diagonals ``(offsets, diags)`` a ``curvature_diagonals`` kernel
-    returns; the lower diagonals are the upper ones moved left."""
+def stencil_matrix(offsets, diags: np.ndarray) -> dia_array:
+    """S as a sparse DIA matrix, for the symmetric S whose upper diagonals
+    ``(offsets, diags)`` a ``curvature_diagonals`` kernel returns; the
+    lower diagonals are the upper ones moved left."""
     n = diags.shape[1]
     lower = np.zeros((len(offsets) - 1, n))
     for row, k, upper in zip(lower, offsets[1:], diags[1:]):
         row[: n - k] = upper[k:]
     data = np.concatenate((diags, lower))
-    if scale != 1.0:
-        data *= scale
-    data[0] += shift
     return dia_array((data, [*offsets, *(-k for k in offsets[1:])]), shape=(n, n))
 
 
@@ -375,14 +372,19 @@ def make_zero_operator(rows: int, cols: int) -> LinearOperator:
     )
 
 
-def to_dense(op: LinearOperator) -> np.ndarray:
-    """Materialize an operator column by column (test/oracle use only)."""
-    dtype = np.complex128 if op.field == "complex" else np.float64
-    out = np.empty((op.rows, op.cols), dtype=dtype)
-    e = np.zeros(op.cols)
-    for j in range(op.cols):
+def dense_columns(action: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
+    """The matrix of a linear action on real length-n vectors, such as an
+    operator's ``apply``, one unit vector at a time; its rows and dtype
+    are those of the action's output (oracle and dense-diagnostic use
+    only)."""
+    out = None
+    e = np.zeros(n)
+    for j in range(n):
         e[j] = 1.0
-        out[:, j] = op.apply(e)
+        col = action(e)
+        if out is None:
+            out = np.empty((col.size, n), dtype=col.dtype)
+        out[:, j] = col
         e[j] = 0.0
     return out
 

@@ -2,9 +2,9 @@
 
 The measurement part A^T A of the Newton matrix has a modest spectrum for
 nearly row-orthogonal A, while the smoothed-regularizer part dominates as
-mu shrinks.  Replacing A^T A by rho*I (``RHO`` = 0.5, the shift the
-solver and ``csnewton spectrum`` use) therefore keeps the dominant term
-and yields a target that is either
+mu shrinks.  Replacing A^T A by rho*I (``RHO`` = 0.5, the one shift of
+every mode here and of ``spectrum_report``) therefore keeps the dominant
+term and yields a target that is either
 
   * factorized with a symmetric banded Cholesky.  Its LAPACK band is
     written here from the Newton system's stencil, the upper diagonals of
@@ -18,16 +18,17 @@ and yields a target that is either
     diagonal and the stencil's offsets, and the action is
     z = s * CG(s * r) with s = S^{-1/2}: Jacobi-preconditioned CG on N,
     each sweep one sparse product.  Otherwise they are plain CG sweeps on
-    the Newton system's matrix-free ``ntilde_action`` (an analysis, a
+    N applied matrix-free through ``symb_matvec`` (an analysis, a
     diagonal scaling and a synthesis).
 
 The band is written and factorized in place, in the storage of the
-previous factor when the caller hands it over (``release_band``), as the
-solver does from each outer iteration to the next, so one band's storage
-serves a whole continuation stage.  Only sym(Bt) is checked for finite
-values, not the band or the back-solve's input: PCG rejects a non-finite
-preconditioned residual itself.  A factor that fails means the duals were
-invalid and raises ``LinAlgError``; no larger shift is tried.
+previous factor when the caller passes that preconditioner as
+``previous``, as the solver does from each outer iteration to the next,
+so one band's storage serves a whole continuation stage.  Only sym(Bt)
+is checked for finite values, not the band or the back-solve's input:
+PCG rejects a non-finite preconditioned residual itself.  A factor that
+fails means the duals were invalid and raises ``LinAlgError``; no larger
+shift is tried.
 
 The fixed inner count, ``TRUNCATED_CG_SWEEPS`` (15, the CLI's ``cg15``),
 keeps the approximate application deterministic, but zero-start CG is not
@@ -50,7 +51,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, eigvalsh
 
 from .krylov import pcg_solve
-from .linops import estimate_delta, stencil_matrix, to_dense
+from .linops import dense_columns, estimate_delta, stencil_matrix
 
 __all__ = [
     "Preconditioner",
@@ -75,25 +76,23 @@ class Preconditioner:
     inner: int = 0
     band: Optional[np.ndarray] = None  # the banded Cholesky factor, exact_banded only
 
-    def release_band(self) -> Optional[np.ndarray]:
-        """Hand the factor's storage to the next build, which overwrites it;
-        this preconditioner has no action afterwards."""
-        band, self.band, self.action = self.band, None, None
-        return band
-
 
 def build_for_system(
-    system, mode: str, rho: float, band: Optional[np.ndarray] = None
+    system, mode: str, previous: Optional[Preconditioner] = None
 ) -> Preconditioner:
     """Build the preconditioner for one Newton system (duck-typed
-    ``NewtonSystem`` from the solver module).  ``exact_banded`` writes its
-    band into ``band`` when given, the storage of a released factor of the
-    same shape; the other modes ignore it."""
+    ``NewtonSystem`` from the solver module).  ``previous``, the last
+    system's preconditioner, is used up: it has no band and no action
+    afterwards, and ``exact_banded`` writes its band into the storage of
+    ``previous.band`` when there is one, of the same shape."""
+    band = None
+    if previous is not None:
+        band, previous.band, previous.action = previous.band, None, None
     if mode == "none":
         return Preconditioner(None)
 
     if mode == "truncated_cg":
-        n_action, s = _jacobi_scaled_target(system, rho)
+        n_action, s = _jacobi_scaled_target(system)
 
         def apply_approx(r):
             inner = pcg_solve(n_action, s * r, None, eta=0.0, cap=TRUNCATED_CG_SWEEPS)
@@ -107,7 +106,7 @@ def build_for_system(
         return Preconditioner(apply_approx, inner=TRUNCATED_CG_SWEEPS)
 
     if mode == "exact_banded":
-        band = _target_band(system, rho, band)
+        band = _target_band(system, band)
         try:
             cb = cholesky_banded(band, overwrite_ab=True, lower=False, check_finite=False)
         except np.linalg.LinAlgError as err:
@@ -139,18 +138,7 @@ def _band_storage(out: Optional[np.ndarray], shape: Tuple[int, int]) -> np.ndarr
     return out
 
 
-def _dense(action: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    """The n x n matrix of a linear action, one unit vector at a time."""
-    out = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        out[:, j] = action(e)
-        e[j] = 0.0
-    return out
-
-
-def _target_band(system, rho: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _target_band(system, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The LAPACK upper band of c*sym(Bt) + rho*I, written into ``out``
     (see :func:`_band_storage`).  With a stencil the bandwidth is its
     largest offset and each of its diagonals is scaled into the band once;
@@ -160,7 +148,7 @@ def _target_band(system, rho: float, out: Optional[np.ndarray] = None) -> np.nda
         offsets, symb = system.stencil
         kd = offsets[-1]
     else:
-        symb = _dense(system.symb_matvec, n)
+        symb = dense_columns(system.symb_matvec, n)
         kd = n - 1
     if not np.all(np.isfinite(symb)):
         raise ValueError("exact_banded: sym(Bt) is not finite")
@@ -172,20 +160,21 @@ def _target_band(system, rho: float, out: Optional[np.ndarray] = None) -> np.nda
     else:
         i, j = np.triu_indices(n)
         band[kd + i - j, j] = c * symb[i, j]
-    band[kd] += rho
+    band[kd] += RHO
     return band
 
 
-def _jacobi_scaled_target(system, rho: float):
+def _jacobi_scaled_target(system):
     """(action, s) for the inner CG of ``truncated_cg``: the target
     N = c*sym(Bt) + rho*I scaled to S^{-1/2} N S^{-1/2}, with S its
     diagonal and s = S^{-1/2}, when the system has a stencil; otherwise
     N's matrix-free action and s = 1."""
+    c = system.obj.c
     if system.stencil is None:
-        return system.ntilde_action(rho), 1.0
+        return (lambda v: c * system.symb_matvec(v) + RHO * v), 1.0
     offsets, diags = system.stencil
-    target = system.obj.c * diags
-    target[0] += rho
+    target = c * diags
+    target[0] += RHO
     if not np.all((target[0] > 0.0) & (target[0] < np.inf)):
         raise np.linalg.LinAlgError(
             "truncated_cg: the diagonal of c*sym(Bt) + rho*I is not positive and finite"
@@ -230,17 +219,17 @@ def theorem_bound(chi: float, denom: float) -> float:
     return 0.5 * (chi + 1.0 + np.sqrt(5.0 * chi**2 - 2.0 * chi + 1.0)) / denom
 
 
-def spectrum_report(system, rho: float, nu: float) -> SpectrumReport:
-    """Eigenvalues of one Newton system's Bhat and of its preconditioned
-    form, plus the clustering-bound ingredients, all computed densely
-    (n <= 4096)."""
+def spectrum_report(system, nu: float) -> SpectrumReport:
+    """Eigenvalues of one Newton system's Bhat and of its form
+    preconditioned by c*sym(Bt) + RHO*I, plus the clustering-bound
+    ingredients, all computed densely (n <= 4096)."""
     obj = system.obj
     n = obj.n
     if n > 4096:
         raise ValueError(f"dense spectrum limited to n <= 4096, got {n}")
 
-    bd = _dense(system.bhat_matvec, n)
-    nd = _dense(system.ntilde_action(rho), n)
+    bd = dense_columns(system.bhat_matvec, n)
+    nd = obj.c * dense_columns(system.symb_matvec, n) + RHO * np.eye(n)
     bd = 0.5 * (bd + bd.T)
     nd = 0.5 * (nd + nd.T)
 
@@ -251,9 +240,9 @@ def spectrum_report(system, rho: float, nu: float) -> SpectrumReport:
     sigma = int(np.sum(d < nu))
     outside = d >= nu  # complement of the small-diagonal set
     delta = estimate_delta(obj.A, 50)
-    chi = 1.0 + delta - rho
+    chi = 1.0 + delta - RHO
 
-    wd = to_dense(obj.W)
+    wd = dense_columns(obj.W.apply, obj.W.cols)
     lam_min = 0.0
     if np.any(outside):
         wc = wd[:, outside]
@@ -264,8 +253,8 @@ def spectrum_report(system, rho: float, nu: float) -> SpectrumReport:
         if positive.size:
             lam_min = float(positive[0])
 
-    bound = theorem_bound(chi, obj.c * obj.mu**2 * nu**3 * lam_min + rho)
-    bound_kernel = theorem_bound(chi, rho)
+    bound = theorem_bound(chi, obj.c * obj.mu**2 * nu**3 * lam_min + RHO)
+    bound_kernel = theorem_bound(chi, RHO)
 
     analysis = wd.conj().T @ vecs  # W* v for every eigenvector
     denom = np.linalg.norm(vecs, axis=0)

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .krylov import NonFiniteError, pcg_solve
 from .linops import analysis_parts, stencil_matrix, synth_real
-from .precond import RHO, build_for_system
+from .precond import build_for_system
 from .smoothing import SmoothedObjective, build_D, huber_value
 
 __all__ = [
@@ -180,8 +180,8 @@ class NewtonSystem:
 
     Freezes the diagonal data (D, the two cross couplings and the three
     diagonals of sym(Bt)) at a given (x, g_re, g_im), then exposes the
-    symmetrized curvature action, the full Bhat action, the shifted
-    preconditioner target action and the affine dual step.
+    symmetrized curvature action, the full Bhat action and the affine
+    dual step.
 
     When the dictionary has a ``curvature_diagonals`` kernel (the 2D
     gradient), sym(Bt) is assembled once, as a sparse 7-diagonal stencil,
@@ -238,15 +238,6 @@ class NewtonSystem:
         A = self.obj.A
         return self.obj.c * self.symb_matvec(v) + A.adjoint_apply(A.apply(v))
 
-    def ntilde_action(self, rho: float) -> Callable[[np.ndarray], np.ndarray]:
-        """The action of the preconditioner target c*sym(Bt) + rho*I; with
-        a stencil it is assembled here, so each call is one sparse product."""
-        c = self.obj.c
-        if self.stencil is None:
-            return lambda v: c * self.symb_matvec(v) + rho * v
-        ntilde = stencil_matrix(*self.stencil, scale=c, shift=rho)
-        return lambda v: ntilde @ v
-
     def dual_step(self, dx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Affine dual increments for a given primal direction."""
         rdx, idx = analysis_parts(self.obj.W, dx)
@@ -271,9 +262,8 @@ def line_search(
     y: np.ndarray,
     dx: np.ndarray,
     energy: float,
-    max_backtracks: int,
 ) -> LineSearchResult:
-    """Least j >= 0 with f(x + TAU1^j dx) <= f(x) - TAU2 TAU1^j energy.
+    """Least j in [0, MAX_BACKTRACKS] with f(x + TAU1^j dx) <= f(x) - TAU2 TAU1^j energy.
 
     ``y`` is the cached analysis W* x and ``energy`` the quadratic form
     dx^T Bhat dx (not its square root).  After one W* and two A actions
@@ -292,14 +282,14 @@ def line_search(
         return obj.c * huber_value(y + a * ydx, obj.mu) + 0.5 * float(res @ res)
 
     f_x = value(0.0)
-    for j in range(max_backtracks + 1):
+    for j in range(MAX_BACKTRACKS + 1):
         a = TAU1**j
         f_trial = value(a)
         if not np.isfinite(f_trial):
             raise NonFiniteError(f"non-finite objective in line search at j={j}")
         if f_trial <= f_x - TAU2 * a * energy:
             return LineSearchResult(a, j, True, f_trial, f_x)
-    return LineSearchResult(0.0, max_backtracks, False, f_x, f_x)
+    return LineSearchResult(0.0, MAX_BACKTRACKS, False, f_x, f_x)
 
 
 def _grad_and_norm(obj: SmoothedObjective, x: np.ndarray, counters: Counters):
@@ -342,9 +332,7 @@ def solve_subproblem(
         system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
         if config.snapshot_every > 0 and state.outer_iter % config.snapshot_every == 0:
             state.snapshots.append(SystemSnapshot(stage, state.outer_iter, system))
-        # the next factor is written into the previous one's storage
-        band = pre.release_band() if pre is not None else None
-        pre = build_for_system(system, config.precond_mode, RHO, band)
+        pre = build_for_system(system, config.precond_mode, pre)
         eta_k = config.eta
         if config.eta_schedule == "decreasing":
             eta_k = min(config.eta, float(np.sqrt(gnorm)))
@@ -380,7 +368,7 @@ def solve_subproblem(
         dual_box = float(np.max(np.abs(g_new))) if g_new.size else 0.0
 
         counters.obj_evals += 1
-        ls = line_search(obj, state.x, system.y, dx, energy, MAX_BACKTRACKS)
+        ls = line_search(obj, state.x, system.y, dx, energy)
         counters.obj_evals += ls.backtracks + 1
         if not ls.accepted and energy_explicit is None:
             bdx = system.bhat_matvec(dx)

@@ -121,13 +121,13 @@ def test_energy_identity_skipped_only_for_truncated_cg_records():
 def test_truncated_cg_continuation_passes_audit():
     # outer PCG runs the flexible recurrence under the nonlinear inner-CG
     # preconditioner, and misses the zero-start energy identity by more than
-    # energy_tol on this solve; check_solver_invariants skips that check there
+    # ENERGY_TOL on this solve; check_solver_invariants skips that check there
     inst = make_itv_instance(shepp_logan(16, 16), 0.25, math.inf, 0)
     obj = SmoothedObjective(c=1e-2, mu=1e-5, A=inst.A, W=inst.W, b=inst.b)
     config = SolverConfig(precond_mode="truncated_cg", audit=True)
     state = run_continuation(obj, config, make_schedule(1e-2, 1e-5))
     # the early stages run unpreconditioned, whose long solves drift past
-    # energy_tol on their own; audit the preconditioned stages
+    # ENERGY_TOL on their own; audit the preconditioned stages
     truncated = [r for r in state.trace if r.precond_mode == "truncated_cg"]
     assert state.converged and truncated
     assert check_solver_invariants(truncated).violations == []

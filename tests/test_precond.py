@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 from pcg_reference import reference_pcg_solve
-from scipy.linalg import cholesky_banded
+from scipy.linalg import cholesky_banded, eigvalsh
 from test_linops import band_to_dense
 
 from csnewton.linops import (
     analysis_parts,
+    dense_columns,
     make_dense_dictionary,
     make_gradient2d,
     make_zero_operator,
     synth_real,
 )
 from csnewton.precond import (
+    RHO,
     TRUNCATED_CG_SWEEPS,
     _target_band,
     build_for_system,
@@ -56,24 +58,10 @@ ORACLE_SYSTEMS = {
 }
 
 
-def dense_columns(action, n):
-    out = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        out[:, j] = action(e)
-        e[j] = 0.0
-    return out
-
-
-def dense_ntilde(system, rho):
-    return dense_columns(system.ntilde_action(rho), system.obj.n)
-
-
 def matrix_free_symb(system):
     """Dense sym(Bt) from analysis -> (d1, d4, d23) -> synthesis, written
     here so that it shares no code with the stencil kernel behind the
-    band, ``symb_matvec`` and ``ntilde_action``."""
+    band, ``symb_matvec`` and the truncated-CG target."""
     W = system.obj.W
 
     def action(v):
@@ -83,14 +71,19 @@ def matrix_free_symb(system):
     return dense_columns(action, system.obj.n)
 
 
+def oracle_target(system):
+    """The dense preconditioner target c*sym(Bt) + RHO*I."""
+    return system.obj.c * matrix_free_symb(system) + RHO * np.eye(system.obj.n)
+
+
 @pytest.mark.parametrize("kind", sorted(ORACLE_SYSTEMS))
 def test_curvature_band_matches_matrix_free_oracle(kind):
     # the gradient systems write the band from their stencil, the dense
     # ones from the columns of symb_matvec
     obj, system = ORACLE_SYSTEMS[kind]()
     assert (system.stencil is None) == kind.startswith("dense")
-    ab = _target_band(system, 0.5)
-    oracle = obj.c * matrix_free_symb(system) + 0.5 * np.eye(obj.n)
+    ab = _target_band(system)
+    oracle = oracle_target(system)
     scale = np.max(np.abs(oracle))
     assert ab.flags.f_contiguous
     np.testing.assert_allclose(band_to_dense(ab), oracle, rtol=0, atol=1e-13 * scale)
@@ -115,26 +108,25 @@ def _parent_curvature_band(d1, d4, d23, n1, n2):
 
 @pytest.mark.parametrize("n1,n2", [(2, 5), (5, 2), (24, 40), (40, 24), (64, 64)])
 def test_gradient_band_is_the_parent_band_bit_for_bit(n1, n2):
-    # c*S + rho*I, S from the parent's band writer, is the band that
+    # c*S + RHO*I, S from the parent's band writer, is the band that
     # exact_banded factors, to the last bit, fresh or in used storage
     obj, system = itv_system(n1=n1, n2=n2, mu=1e-3, c=0.3)
-    rho = 0.7
     reference = obj.c * _parent_curvature_band(system.d1, system.d4, system.d23, n1, n2)
-    reference[-1] += rho
-    ab = _target_band(system, rho)
+    reference[-1] += RHO
+    ab = _target_band(system)
     assert ab.flags.f_contiguous and ab.tobytes() == reference.tobytes()
     used = np.asfortranarray(np.random.default_rng(7).standard_normal(ab.shape))
-    assert _target_band(system, rho, out=used) is used
+    assert _target_band(system, out=used) is used
     assert used.tobytes() == reference.tobytes()
-    pre = build_for_system(system, "exact_banded", rho)
+    pre = build_for_system(system, "exact_banded")
     assert pre.band.tobytes() == cholesky_banded(reference).tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_SYSTEMS))
 def test_exact_banded_matches_matrix_free_oracle(kind):
     obj, system = ORACLE_SYSTEMS[kind]()
-    pre = build_for_system(system, "exact_banded", rho=0.5)
-    nd = obj.c * matrix_free_symb(system) + 0.5 * np.eye(obj.n)
+    pre = build_for_system(system, "exact_banded")
+    nd = oracle_target(system)
     rng = np.random.default_rng(10)
     for _ in range(5):
         r = rng.standard_normal(obj.n)
@@ -145,8 +137,8 @@ def test_exact_banded_matches_matrix_free_oracle(kind):
 
 def test_exact_banded_matches_dense_solve():
     obj, system = itv_system()
-    pre = build_for_system(system, "exact_banded", rho=0.5)
-    nd = dense_ntilde(system, 0.5)
+    pre = build_for_system(system, "exact_banded")
+    nd = oracle_target(system)
     rng = np.random.default_rng(1)
     for _ in range(5):
         r = rng.standard_normal(obj.n)
@@ -155,23 +147,24 @@ def test_exact_banded_matches_dense_solve():
 
 def test_exact_banded_apply_then_multiply_is_identity():
     obj, system = itv_system(n1=8, n2=4)
-    pre = build_for_system(system, "exact_banded", rho=0.5)
+    pre = build_for_system(system, "exact_banded")
+    nd = oracle_target(system)
     rng = np.random.default_rng(2)
     for _ in range(5):
         r = rng.standard_normal(obj.n)
-        back = system.ntilde_action(0.5)(pre.action(r))
+        back = nd @ pre.action(r)
         np.testing.assert_allclose(back, r, rtol=1e-10, atol=1e-12)
 
 
 def test_truncated_cg_dominant_shift_limit():
-    # with rho = 1e6 the target is essentially rho*I, so 15 inner CG
+    # with c = 1e-9 the target is essentially RHO*I, so 15 inner CG
     # iterations invert it to high accuracy
-    obj, system = itv_system()
-    pre = build_for_system(system, "truncated_cg", rho=1e6)
+    obj, system = itv_system(c=1e-9)
+    pre = build_for_system(system, "truncated_cg")
     assert pre.inner == 15
     rng = np.random.default_rng(3)
     r = rng.standard_normal(obj.n)
-    back = system.ntilde_action(1e6)(pre.action(r))
+    back = oracle_target(system) @ pre.action(r)
     assert np.linalg.norm(back - r) <= 1e-4 * np.linalg.norm(r)
 
 
@@ -179,9 +172,9 @@ def test_truncated_cg_is_jacobi_pcg_on_the_target():
     # CG sweeps on S^{-1/2} N S^{-1/2}, S = diag(N), scaled back by S^{-1/2},
     # are in exact arithmetic Jacobi-preconditioned CG on the target N
     obj, system = itv_system(n1=16, n2=16, mu=1e-5)
-    nd = dense_ntilde(system, 0.5)
+    nd = oracle_target(system)
     inv_diag = 1.0 / np.diag(nd)
-    pre = build_for_system(system, "truncated_cg", rho=0.5)
+    pre = build_for_system(system, "truncated_cg")
     rng = np.random.default_rng(11)
     for _ in range(3):
         r = rng.standard_normal(obj.n)
@@ -201,9 +194,9 @@ def out_of_box_system(scale):
 
 def test_truncated_cg_rejects_a_nonpositive_target_diagonal():
     _, system = out_of_box_system(30.0)
-    assert np.min(np.diag(dense_ntilde(system, 0.5))) < 0.0
+    assert np.min(np.diag(oracle_target(system))) < 0.0
     with pytest.raises(np.linalg.LinAlgError, match="truncated_cg"):
-        build_for_system(system, "truncated_cg", rho=0.5)
+        build_for_system(system, "truncated_cg")
 
 
 def test_truncated_cg_raises_on_inner_negative_curvature():
@@ -211,11 +204,11 @@ def test_truncated_cg_raises_on_inner_negative_curvature():
     # an application along a negative-curvature direction of the scaled
     # target must raise, not return the sweeps before it
     _, system = out_of_box_system(3.0)
-    nd = dense_ntilde(system, 0.5)
+    nd = oracle_target(system)
     sqrt_diag = np.sqrt(np.diag(nd))
     evals, evecs = np.linalg.eigh(nd / np.outer(sqrt_diag, sqrt_diag))
     assert evals[0] < 0.0
-    pre = build_for_system(system, "truncated_cg", rho=0.5)
+    pre = build_for_system(system, "truncated_cg")
     with pytest.raises(np.linalg.LinAlgError, match="truncated_cg"):
         pre.action(sqrt_diag * evecs[:, 0])
 
@@ -224,7 +217,7 @@ def test_preconditioner_action_symmetric_positive():
     obj, system = itv_system(n1=8, n2=8, mu=1e-3)
     rng = np.random.default_rng(4)
     for mode in ("exact_banded", "truncated_cg"):
-        pre = build_for_system(system, mode, rho=0.5)
+        pre = build_for_system(system, mode)
         for _ in range(20):
             z = rng.standard_normal(obj.n)
             u = rng.standard_normal(obj.n)
@@ -238,26 +231,32 @@ def test_preconditioner_action_symmetric_positive():
 
 
 def test_second_build_reuses_the_released_band():
+    # a build uses up the previous preconditioner: the band is written into
+    # its factor's storage, and it keeps no band and no action
     _, first_system = itv_system(n1=8, n2=4)
-    first = build_for_system(first_system, "exact_banded", rho=0.5)
-    band = first.release_band()
-    assert first.band is None and first.action is None
+    first = build_for_system(first_system, "exact_banded")
+    band = first.band
     _, system = itv_system(n1=8, n2=4, seed=1)
-    second = build_for_system(system, "exact_banded", rho=0.5, band=band)
+    second = build_for_system(system, "exact_banded", first)
+    assert first.band is None and first.action is None
     assert second.band is band
-    fresh = build_for_system(system, "exact_banded", rho=0.5)
-    assert fresh.band is not band and second.band.tobytes() == fresh.band.tobytes()
-    r = np.random.default_rng(6).standard_normal(system.obj.n)
-    assert second.action(r).tobytes() == fresh.action(r).tobytes()
+    # a previous preconditioner without a band leaves the build fresh storage
+    for mode in ("none", "truncated_cg"):
+        previous = build_for_system(first_system, mode)
+        fresh = build_for_system(system, "exact_banded", previous)
+        assert previous.band is None and previous.action is None
+        assert fresh.band is not band and second.band.tobytes() == fresh.band.tobytes()
+        r = np.random.default_rng(6).standard_normal(system.obj.n)
+        assert second.action(r).tobytes() == fresh.action(r).tobytes()
 
 
 def test_factorization_breakdown_raises():
     # duals far outside the box make the target indefinite: the factor
     # fails, and no larger shift is tried in its place
     _, system = out_of_box_system(30.0)
-    assert np.min(np.linalg.eigvalsh(dense_ntilde(system, 0.5))) < 0.0
+    assert np.min(np.linalg.eigvalsh(oracle_target(system))) < 0.0
     with pytest.raises(np.linalg.LinAlgError, match="exact_banded"):
-        build_for_system(system, "exact_banded", rho=0.5)
+        build_for_system(system, "exact_banded")
 
 
 @pytest.mark.parametrize("kind", ["grad8x4", "dense_real"])
@@ -268,7 +267,7 @@ def test_exact_banded_rejects_a_non_finite_curvature(kind):
     else:
         system.d1[2] = np.inf
     with pytest.raises(ValueError, match="exact_banded"):
-        build_for_system(system, "exact_banded", rho=0.5)
+        build_for_system(system, "exact_banded")
 
 
 # ---------------------------------------------------------------------------
@@ -277,25 +276,25 @@ def test_exact_banded_rejects_a_non_finite_curvature(kind):
 
 
 def test_spectrum_all_ones_when_target_equals_matrix():
-    # A^T A = rho * I makes the preconditioner target coincide with the
+    # A^T A = RHO * I makes the preconditioner target coincide with the
     # Newton matrix, so every preconditioned eigenvalue is exactly one
-    rho = 0.5
     n1 = n2 = 4
     n = n1 * n2
     rng = np.random.default_rng(7)
     W = make_gradient2d(n1, n2)
-    A = make_dense_dictionary(np.sqrt(rho) * np.eye(n))
+    A = make_dense_dictionary(np.sqrt(RHO) * np.eye(n))
     obj = SmoothedObjective(c=0.1, mu=1e-2, A=A, W=W, b=rng.standard_normal(n))
     x = rng.standard_normal(n)
     g = project_linf(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    rep = spectrum_report(NewtonSystem(obj, x, np.real(g), np.imag(g)), rho=rho, nu=0.5 / obj.mu)
+    rep = spectrum_report(NewtonSystem(obj, x, np.real(g), np.imag(g)), nu=0.5 / obj.mu)
     np.testing.assert_allclose(rep.precond_eigs, np.ones(n), atol=1e-10)
     assert np.all(rep.raw_eigs > 0)
     assert np.all(np.diff(rep.raw_eigs) >= 0) and np.all(np.diff(rep.precond_eigs) >= 0)
 
 
-def test_spectrum_near_identity_target_reproduces_raw():
-    # negligible curvature weight and rho = 1 make the target the identity
+def test_spectrum_shift_only_target_scales_raw():
+    # negligible curvature weight makes the target RHO*I, so the
+    # preconditioned eigenvalues are the raw ones divided by RHO
     n1 = n2 = 4
     n = n1 * n2
     rng = np.random.default_rng(8)
@@ -303,8 +302,8 @@ def test_spectrum_near_identity_target_reproduces_raw():
     A = make_dense_dictionary(rng.standard_normal((n // 2, n)) / np.sqrt(n))
     obj = SmoothedObjective(c=1e-12, mu=1e-2, A=A, W=W, b=rng.standard_normal(n // 2))
     system = NewtonSystem(obj, rng.standard_normal(n), np.zeros(n), np.zeros(n))
-    rep = spectrum_report(system, rho=1.0, nu=0.5 / obj.mu)
-    np.testing.assert_allclose(rep.precond_eigs, rep.raw_eigs, atol=1e-8)
+    rep = spectrum_report(system, nu=0.5 / obj.mu)
+    np.testing.assert_allclose(rep.precond_eigs, rep.raw_eigs / RHO, atol=1e-8)
 
 
 def test_spectrum_rejects_large_n():
@@ -315,18 +314,26 @@ def test_spectrum_rejects_large_n():
     )
     zeros = np.zeros(5000)
     with pytest.raises(ValueError):
-        spectrum_report(NewtonSystem(big, zeros, zeros, zeros), rho=0.5, nu=1.0)
+        spectrum_report(NewtonSystem(big, zeros, zeros, zeros), nu=1.0)
 
 
-def test_spectrum_report_fields_and_sigma():
-    obj, system = itv_system(n1=4, n2=4, mu=1e-2)
+@pytest.mark.parametrize("kind", sorted(ORACLE_SYSTEMS))
+def test_spectrum_report_fields_and_sigma(kind):
+    # the stencil and the matrix-free dictionaries alike: both spectra match
+    # the dense oracle's, Bhat = c*sym(Bt) + A^T A against the target
+    obj, system = ORACLE_SYSTEMS[kind]()
     nu = 0.5 / obj.mu
-    rep = spectrum_report(system, rho=0.5, nu=nu)
+    rep = spectrum_report(system, nu=nu)
+    a = dense_columns(obj.A.apply, obj.n)
+    bhat = obj.c * matrix_free_symb(system) + a.T @ a
+    np.testing.assert_allclose(rep.raw_eigs, eigvalsh(bhat), rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(rep.precond_eigs, eigvalsh(bhat, oracle_target(system)),
+                               rtol=1e-9, atol=1e-12)
     y = obj.W.adjoint_apply(system.x)
     d = 1.0 / np.sqrt(obj.mu**2 + np.abs(y) ** 2)
     assert rep.sigma == int(np.sum(d < nu))
     assert rep.nu == nu
-    assert rep.chi == pytest.approx(1.0 + rep.delta - 0.5)
+    assert rep.chi == pytest.approx(1.0 + rep.delta - RHO)
     assert rep.bound > 0 and rep.bound_kernel > 0
     assert rep.kernel_residuals.shape == rep.precond_eigs.shape
 
@@ -343,7 +350,7 @@ def test_clustering_bounds_hold_on_solved_instance():
     config = SolverConfig(grad_tol=1e-8, max_outer=40, precond_mode="exact_banded")
     state = run_continuation(obj, config, make_schedule(2.29e-2, mu))
     system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
-    rep = spectrum_report(system, rho=0.5, nu=0.5 / mu)
+    rep = spectrum_report(system, nu=0.5 / mu)
     dev = np.abs(rep.precond_eigs - 1.0)
     assert np.all(dev <= rep.bound_kernel + 1e-9)
     strong = rep.kernel_residuals > 1e-2

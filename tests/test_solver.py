@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from hessian_oracle import hess_f_matvec
 
-from csnewton.linops import make_dense_dictionary, make_gradient2d, make_zero_operator, to_dense
+from csnewton.linops import (
+    dense_columns,
+    make_dense_dictionary,
+    make_gradient2d,
+    make_zero_operator,
+)
 from csnewton.smoothing import SmoothedObjective, build_D, objective_value
 from csnewton.solver import (
+    MAX_BACKTRACKS,
     NegativeCurvatureError,
     NewtonSystem,
     SolverConfig,
@@ -138,7 +144,7 @@ def test_dual_step_matches_dense_formula():
     g_re, g_im = np.real(g), np.imag(g)
     system = NewtonSystem(obj, x, g_re, g_im)
 
-    wd = to_dense(obj.W)
+    wd = dense_columns(obj.W.apply, obj.W.cols)
     p = wd.conj().T.real  # maps v -> Re(W* v)
     q = wd.conj().T.imag  # maps v -> Im(W* v)
     y = wd.conj().T @ x
@@ -175,7 +181,7 @@ def test_line_search_exact_newton_on_quadratic():
     grad = a_mat.T @ (a_mat @ x - b)
     dx = np.linalg.solve(h, -grad)
     energy = dx @ (h @ dx)
-    res = line_search(obj, x, W.adjoint_apply(x), dx, energy, max_backtracks=10)
+    res = line_search(obj, x, W.adjoint_apply(x), dx, energy)
     assert res.accepted and res.backtracks == 0 and res.alpha == 1.0
 
 
@@ -183,7 +189,7 @@ def test_line_search_zero_direction_degenerate():
     rng = np.random.default_rng(6)
     obj = small_instance(rng)
     x = rng.standard_normal(obj.n)
-    res = line_search(obj, x, obj.W.adjoint_apply(x), np.zeros(obj.n), 0.0, 10)
+    res = line_search(obj, x, obj.W.adjoint_apply(x), np.zeros(obj.n), 0.0)
     assert res.accepted and res.backtracks == 0 and res.alpha == 1.0
 
 
@@ -196,9 +202,9 @@ def test_line_search_exhaustion_flagged():
     from csnewton.smoothing import objective_grad
 
     up = objective_grad(obj, x)
-    res = line_search(obj, x, obj.W.adjoint_apply(x), up, energy=1.0, max_backtracks=10)
+    res = line_search(obj, x, obj.W.adjoint_apply(x), up, energy=1.0)
     assert not res.accepted
-    assert res.backtracks == 10
+    assert res.backtracks == MAX_BACKTRACKS
     assert res.alpha == 0.0
     assert res.f_new == pytest.approx(objective_value(obj, x), rel=1e-12)
 
@@ -216,10 +222,11 @@ def test_rejected_line_search_leaves_x(monkeypatch):
     search = csnewton.solver.line_search
 
     def spy(obj, x, *args):
-        res = search(obj, x, *args[:-1], 0)
+        res = search(obj, x, *args)
         calls.append((x.copy(), res))
         return res
 
+    monkeypatch.setattr(csnewton.solver, "MAX_BACKTRACKS", 0)
     monkeypatch.setattr(csnewton.solver, "line_search", spy)
     obj = small_instance(np.random.default_rng(0), mu=1e-4)
     state = solve_subproblem(obj, SolverConfig(max_outer=30))
@@ -247,8 +254,8 @@ def test_zero_data_terminates_immediately():
 
 def dense_damped_newton(obj, tol=1e-12, iters=300):
     """Independent oracle: explicit Hessian assembly, direct solves, Armijo."""
-    wd = to_dense(obj.W)
-    ad = to_dense(obj.A)
+    wd = dense_columns(obj.W.apply, obj.W.cols)
+    ad = dense_columns(obj.A.apply, obj.A.cols)
     n = obj.n
     mu, c = obj.mu, obj.c
     x = np.zeros(n)
