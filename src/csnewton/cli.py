@@ -32,7 +32,8 @@ from .smoothing import SmoothedObjective
 from .solver import SolverConfig, solve_subproblem
 
 TRACE_COLUMNS = ["stage", "iter", "f", "grad_norm", "pcg_iters", "alpha", "backtracks", "time_s",
-                 "eta", "pcg_converged", "max_residual_drift", "precond_mode", "accepted"]
+                 "eta", "pcg_converged", "max_residual_drift", "precond_mode", "accepted",
+                 "energy", "pcg_residual"]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +117,7 @@ _DEFAULTS = {
     "target_psnr": math.inf,
     "c": 1.0e-2,
     "mu": 1.0e-5,
-    "precond": "none",
+    "precond": "exact",
     "continuation": "on",
     "seed": 0,
 }
@@ -190,8 +191,7 @@ def _solver_config(cfg, snapshot_every: int = 0) -> SolverConfig:
 
 
 def _run_solve(cfg, inst: ProblemInstance, snapshot_every: int = 0) -> tuple:
-    """Solve the built problem with audit mode off: its explicit energy and
-    residual are written to neither trace.csv nor metrics.txt."""
+    """Solve the built problem; returns the final state and the wall time."""
     config = _solver_config(cfg, snapshot_every)
     obj = SmoothedObjective(c=cfg["c"], mu=cfg["mu"], A=inst.A, W=inst.W, b=inst.b)
     t0 = time.perf_counter()
@@ -213,7 +213,8 @@ def write_trace_csv(path, trace) -> None:
                 [rec.stage, rec.outer_iter, f"{rec.f:.12e}", f"{rec.grad_norm:.6e}",
                  rec.pcg_iters, f"{rec.alpha:.6e}", rec.backtracks, f"{rec.wall_time:.6f}",
                  f"{rec.eta:.6e}", int(rec.pcg_converged), f"{rec.max_residual_drift:.6e}",
-                 rec.precond_mode, int(rec.accepted)]
+                 rec.precond_mode, int(rec.accepted), f"{rec.energy:.12e}",
+                 f"{rec.pcg_residual:.6e}"]
             )
 
 
@@ -329,8 +330,7 @@ def _cmd_check(args) -> int:
         obj = SmoothedObjective(c=1e-2, mu=1e-2, A=inst.A, W=inst.W, b=inst.b)
 
     if "invariants" in suites:
-        config = SolverConfig(grad_tol=1e-8, max_outer=60, audit=True,
-                              precond_mode="exact_banded")
+        config = SolverConfig(grad_tol=1e-8, max_outer=60, precond_mode="exact_banded")
         state = run_continuation(obj, config, make_schedule(1e-2, 1e-2))
         rep = diagnostics.check_solver_invariants(state.trace)
         for name, detail in rep.rows():

@@ -26,9 +26,8 @@ __all__ = [
 # relative error bounds of the finite-difference gradient and Hessian checks
 GRAD_TOL = 1.0e-6
 HESS_TOL = 1.0e-5
-# slack of the dual box |g|_inf <= 1 and relative bound on the energy-identity gap
+# slack of the dual box |g|_inf <= 1
 BOX_TOL = 1.0e-12
-ENERGY_TOL = 1.0e-8
 
 
 @dataclass
@@ -95,19 +94,13 @@ class InvariantReport:
 
 
 def check_solver_invariants(trace: Sequence[IterationRecord]) -> InvariantReport:
-    """Audit a completed trace: monotone objective, dual box, the
-    zero-start energy identity and the PCG stopping rule (the last two
-    need records produced with auditing enabled).
+    """Audit a completed trace: monotone objective, dual box and the PCG
+    stopping rule ||Bhat dx + grad f|| <= eta ||grad f|| on every record,
+    so a capped solve that missed it is flagged.
 
     The objective must not rise between consecutive records of a stage,
     nor across any accepted step, f against the ``f_in`` it started
-    from; the second check also covers stages of a single step.
-
-    The energy identity is skipped for ``truncated_cg`` records: inner CG
-    makes that preconditioner nonlinear, so outer PCG runs the flexible
-    recurrence and the identity holds only approximately (relative gaps
-    up to 4.61e-4 and 4.23e-4 on the 64x64 benchmark solves at instance
-    seeds 0 and 1)."""
+    from; the second check also covers stages of a single step."""
     def raised(f_old: float, f_new: float) -> bool:
         return f_new > f_old + 1e-12 * max(1.0, abs(f_old))
 
@@ -122,16 +115,11 @@ def check_solver_invariants(trace: Sequence[IterationRecord]) -> InvariantReport
             report.violations.append(f"{tag}: accepted step raised f {rec.f_in} -> {rec.f}")
         if rec.dual_box > 1.0 + BOX_TOL:
             report.violations.append(f"{tag}: dual box violated, |g|_inf = {rec.dual_box}")
-        if rec.energy_explicit is not None and rec.precond_mode != "truncated_cg":
-            gap = abs(rec.energy_explicit + rec.grad_dot_dx)
-            if gap > ENERGY_TOL * max(1.0, abs(rec.grad_dot_dx)):
-                report.violations.append(f"{tag}: energy identity off by {gap}")
-        if rec.pcg_residual is not None:
-            if rec.pcg_residual > rec.eta * rec.grad_norm_in * (1.0 + 1e-10):
-                report.violations.append(
-                    f"{tag}: PCG residual {rec.pcg_residual} exceeds "
-                    f"eta*||grad|| = {rec.eta * rec.grad_norm_in}"
-                )
+        if rec.pcg_residual > rec.eta * rec.grad_norm_in * (1.0 + 1e-10):
+            report.violations.append(
+                f"{tag}: PCG residual {rec.pcg_residual} exceeds "
+                f"eta*||grad|| = {rec.eta * rec.grad_norm_in}"
+            )
     return report
 
 

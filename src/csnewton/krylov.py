@@ -1,15 +1,12 @@
 """Preconditioned conjugate gradients for symmetric positive-definite actions.
 
-The iteration always starts from the zero vector.  That is load-bearing:
-with a zero start and a linear preconditioner the returned direction dx
-satisfies the energy identity dx^T op(dx) = dx^T rhs at every iteration,
-which the outer Newton solver uses to get the line-search curvature term
-without an extra matvec.
-
-The stopping test is on the unpreconditioned residual, which the CG
-recurrence tracks directly.  It is recomputed explicitly every
-``RECHECK_EVERY`` iterations as a drift guard, and when the recurrence
-meets the tolerance, to gate the exit; one computation serves both.
+The iteration starts from the zero vector.  The stopping test is on the
+unpreconditioned residual, which the CG recurrence tracks directly.  It
+is recomputed explicitly every ``RECHECK_EVERY`` iterations as a drift
+guard, and when the recurrence meets the tolerance, to gate the exit;
+one computation serves both.  The exit gate's op(x) is returned with x,
+so a caller that needs x^T op(x), as the Newton solver's line search
+does, gets it exactly and without another operator call.
 
 With ``flexible=True`` each new search direction is the preconditioned
 residual z minus its op-projections on the previous two directions
@@ -49,6 +46,7 @@ class PcgOutcome:
     converged: bool
     negative_curvature: bool = False
     max_residual_drift: float = 0.0
+    op_solution: Optional[np.ndarray] = None  # op(solution), set when converged
 
 
 def pcg_solve(
@@ -72,8 +70,7 @@ def pcg_solve(
         Approximate inverse action; identity when omitted.  It must be
         deterministic for the duration of the solve.  Plain PCG assumes it
         is also linear and symmetric positive definite; a nonlinear action
-        such as a truncated inner CG needs ``flexible=True``, and the
-        zero-start energy identity then holds only approximately.
+        such as a truncated inner CG needs ``flexible=True``.
     eta : float
         Relative residual tolerance in [0, 1).
     cap : int
@@ -87,6 +84,8 @@ def pcg_solve(
     Returns
     -------
     PcgOutcome
+        ``op_solution`` is op(x) as the exit gate computed it, at every
+        converged exit (zeros for a zero ``rhs``), and ``None`` otherwise.
         ``negative_curvature`` is set (and the solve stops) when a search
         direction p has p^T op(p) <= 0, which signals that the operator
         was assembled from invalid data.
@@ -97,7 +96,7 @@ def pcg_solve(
     x = np.zeros_like(rhs)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        return PcgOutcome(x, 0, True)
+        return PcgOutcome(x, 0, True, op_solution=np.zeros_like(rhs))
 
     r = rhs.copy()
     z = precond(r) if precond is not None else r
@@ -129,12 +128,13 @@ def pcg_solve(
             # gate: the recurrence may sit a hair below the threshold while
             # the true residual sits a hair above.  Only a recheck replaces
             # the recurrence, so near-miss checks do not perturb conjugacy.
-            r_true = rhs - op(x)
+            op_x = op(x)
+            r_true = rhs - op_x
             rr_true = float(r_true @ r_true)
             true_norm = math.sqrt(rr_true)
             max_drift = max(max_drift, float(np.linalg.norm(r_true - r)) / max(1.0, true_norm))
             if true_norm <= target:
-                return PcgOutcome(x, k, True, max_residual_drift=max_drift)
+                return PcgOutcome(x, k, True, max_residual_drift=max_drift, op_solution=op_x)
             if recheck:
                 r, rr, res_norm = r_true, rr_true, true_norm
         if not math.isfinite(res_norm):

@@ -6,11 +6,11 @@ mu shrinks.  Replacing A^T A by rho*I (``RHO`` = 0.5, the one shift of
 every mode here and of ``spectrum_report``) therefore keeps the dominant
 term and yields a target that is either
 
-  * factorized with a symmetric banded Cholesky.  Its LAPACK band is
-    written here from the Newton system's stencil, the upper diagonals of
-    sym(Bt) (2D gradients give a 7-diagonal stencil with the pixel-column
-    stride as bandwidth); a system without one fills a full band from the
-    columns of its matrix-free ``symb_matvec``.
+  * factorized with a symmetric banded Cholesky.  Its LAPACK lower band
+    is written here from the Newton system's stencil, the upper diagonals
+    of sym(Bt) (2D gradients give a 7-diagonal stencil with the
+    pixel-column stride as bandwidth); a system without one fills a full
+    band from the columns of its matrix-free ``symb_matvec``.
   * applied approximately by a fixed number of CG sweeps.  When the
     dictionary has a ``curvature_diagonals`` stencil (2D gradients) they
     run on the Jacobi-scaled target S^{-1/2} N S^{-1/2}, S the diagonal
@@ -34,11 +34,10 @@ The fixed inner count, ``TRUNCATED_CG_SWEEPS`` (15, the CLI's ``cg15``),
 keeps the approximate application deterministic, but zero-start CG is not
 linear in r: its step lengths depend on r.  The solver therefore runs
 outer PCG with the flexible recurrence under ``truncated_cg`` (see
-``krylov``), and its zero-start energy identity dx^T Bhat dx =
--dx^T grad f holds only approximately there (Notay, "Flexible conjugate
-gradients", SIAM J. Sci. Comput. 22(4), 2000).  A target whose diagonal
-is not positive and finite, or an inner sweep that meets nonpositive
-curvature, means the duals were invalid: both raise ``LinAlgError``.
+``krylov``; Notay, "Flexible conjugate gradients", SIAM J. Sci. Comput.
+22(4), 2000).  A target whose diagonal is not positive and finite, or an
+inner sweep that meets nonpositive curvature, means the duals were
+invalid: both raise ``LinAlgError``.
 """
 
 from __future__ import annotations
@@ -63,7 +62,13 @@ __all__ = [
 ]
 
 TRUNCATED_CG_SWEEPS = 15
-RHO = 0.5  # the shift rho of the target c*sym(Bt) + rho*I
+# The shift rho of the target c*sym(Bt) + rho*I.  Outer/PCG iterations of
+# the benchmark solves at instance seeds 0 and 1, tv128_exact; tv64_cg15:
+#   rho 0.1   28/392, 26/383;  44/3052, 39/2255
+#   rho 0.25  24/351, 27/342;  40/2102, 35/1496
+#   rho 0.5   24/372, 25/334;  34/1256, 30/1280
+#   rho 1.0   25/471, 24/406;  30/1296, 32/1268
+RHO = 0.5
 
 
 @dataclass
@@ -108,13 +113,13 @@ def build_for_system(
     if mode == "exact_banded":
         band = _target_band(system, band)
         try:
-            cb = cholesky_banded(band, overwrite_ab=True, lower=False, check_finite=False)
+            cb = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
         except np.linalg.LinAlgError as err:
             raise np.linalg.LinAlgError(
                 f"exact_banded: c*sym(Bt) + rho*I is not positive definite ({err})"
             ) from err
         return Preconditioner(
-            lambda r: cho_solve_banded((cb, False), r, check_finite=False), band=cb
+            lambda r: cho_solve_banded((cb, True), r, check_finite=False), band=cb
         )
 
     raise ValueError(f"unknown preconditioner mode {mode!r}")
@@ -128,6 +133,10 @@ def _band_storage(out: Optional[np.ndarray], shape: Tuple[int, int]) -> np.ndarr
     heap block of that size is split by later small allocations, so the
     next band extends the heap and the peak RSS creeps up with every
     band freed.  Unmapped, its pages go straight back to the system.
+    Re-measured on the lower-storage factor: with a plain ``np.zeros``
+    band in its place, tv128_exact's peak RSS was 103.5 and 102.6 MB
+    against 90.1 and 89.7 MB with the map (two alternated 20 s benchmark
+    runs each, 2-vCPU guest), so the map stays.
     """
     if out is None:
         pages = mmap.mmap(-1, shape[0] * shape[1] * np.dtype(np.float64).itemsize)
@@ -139,10 +148,16 @@ def _band_storage(out: Optional[np.ndarray], shape: Tuple[int, int]) -> np.ndarr
 
 
 def _target_band(system, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The LAPACK upper band of c*sym(Bt) + rho*I, written into ``out``
+    """The LAPACK lower band of c*sym(Bt) + rho*I, written into ``out``
     (see :func:`_band_storage`).  With a stencil the bandwidth is its
     largest offset and each of its diagonals is scaled into the band once;
-    without one the band is full, filled from the columns of sym(Bt)."""
+    without one the band is full, filled from the columns of sym(Bt).
+
+    LAPACK's ``dpbtrf`` factors a 128x128 image's band faster from lower
+    storage than from upper: medians of seven 58 and 76 ms against 92 and
+    93 ms in two alternated rounds on a 2-vCPU Xeon guest with one BLAS
+    thread.  The back-solve is no slower (3.4 and 5.3 against 5.0 and
+    4.8 ms)."""
     c, n = system.obj.c, system.obj.n
     if system.stencil is not None:
         offsets, symb = system.stencil
@@ -154,13 +169,14 @@ def _target_band(system, out: Optional[np.ndarray] = None) -> np.ndarray:
         raise ValueError("exact_banded: sym(Bt) is not finite")
     band = _band_storage(out, (kd + 1, n))
     if system.stencil is not None:
-        # entry (i, i + k) is at column i + k of row k, in the stencil as in the band
+        # entry (i, i + k) is at column i + k of the stencil's row k and,
+        # as its mirror (i + k, i), at column i of the band's row k
         for k, row in zip(offsets, symb):
-            np.multiply(row, c, out=band[kd - k])
+            np.multiply(row[k:], c, out=band[k, : n - k])
     else:
         i, j = np.triu_indices(n)
-        band[kd + i - j, j] = c * symb[i, j]
-    band[kd] += RHO
+        band[j - i, i] = c * symb[i, j]
+    band[0] += RHO
     return band
 
 

@@ -10,8 +10,8 @@ One outer iteration, at the current primal x and box-constrained duals
   2. take the full dual step and project the complex duals onto the
      componentwise unit ball, which keeps Bhat positive definite;
   3. backtrack on the primal step with the curvature term dx^T Bhat dx,
-     obtained for free from the zero-start CG identity
-     dx^T Bhat dx = -dx^T grad f; if no trial step passes, x stays put.
+     from the product Bhat dx that PCG's exit gate forms; if no trial
+     step passes, x stays put.
 
 Dictionary-domain convention: the analysis channels of a real vector v
 are Re(W* v) and Im(W* v), and the paired synthesis of two real vectors
@@ -80,7 +80,6 @@ class SolverConfig:
     max_outer: int = 100
     precond_mode: str = "none"  # none | exact_banded | truncated_cg
     eta_schedule: str = "fixed"  # fixed | decreasing
-    audit: bool = False
     snapshot_every: int = 0
 
     def __post_init__(self):
@@ -110,13 +109,12 @@ class IterationRecord:
     backtracks: int
     wall_time: float
     eta: float
-    grad_dot_dx: float
+    energy: float  # dx^T Bhat dx, the line search's curvature term
     dual_box: float
     accepted: bool
     pcg_converged: bool
     max_residual_drift: float
-    energy_explicit: Optional[float] = None
-    pcg_residual: Optional[float] = None
+    pcg_residual: float  # ||Bhat dx + grad f||
     precond_mode: str = "none"  # the stage's preconditioner
     f_in: Optional[float] = None  # f at the iterate the step started from
 
@@ -351,16 +349,12 @@ def solve_subproblem(
                 f"nonpositive curvature in PCG at outer iteration {state.outer_iter}"
             )
         dx = outcome.solution
-        grad_dot_dx = float(dx @ grad)
-        energy = -grad_dot_dx  # zero-start CG identity: dx^T Bhat dx = -dx^T grad
-
-        energy_explicit = None
-        pcg_residual = None
-        if config.audit:
+        bdx = outcome.op_solution
+        if bdx is None:  # a capped solve: its exit gate never formed Bhat dx
             bdx = system.bhat_matvec(dx)
             counters.pcg_iters += 1
-            energy_explicit = float(dx @ bdx)
-            pcg_residual = float(np.linalg.norm(bdx + grad))
+        energy = float(dx @ bdx)
+        pcg_residual = float(np.linalg.norm(bdx + grad))
 
         dg_re, dg_im = system.dual_step(dx)
         g_new = project_linf((state.g_re + dg_re) + 1j * (state.g_im + dg_im))
@@ -370,10 +364,7 @@ def solve_subproblem(
         counters.obj_evals += 1
         ls = line_search(obj, state.x, system.y, dx, energy)
         counters.obj_evals += ls.backtracks + 1
-        if not ls.accepted and energy_explicit is None:
-            bdx = system.bhat_matvec(dx)
-            counters.pcg_iters += 1
-            energy_explicit = float(dx @ bdx)
+        del system  # one system alive at a time: the next is built without this one
 
         if ls.accepted:  # a rejected step leaves x, and so grad, as they were
             state.x = state.x + ls.alpha * dx
@@ -391,12 +382,11 @@ def solve_subproblem(
                 backtracks=ls.backtracks,
                 wall_time=time.perf_counter() - t0,
                 eta=eta_k,
-                grad_dot_dx=grad_dot_dx,
+                energy=energy,
                 dual_box=dual_box,
                 accepted=ls.accepted,
                 pcg_converged=outcome.converged,
                 max_residual_drift=outcome.max_residual_drift,
-                energy_explicit=energy_explicit,
                 pcg_residual=pcg_residual,
                 precond_mode=config.precond_mode,
                 f_in=ls.f_x,

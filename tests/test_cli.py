@@ -138,6 +138,9 @@ def test_solve_command_outputs(tmp_path):
     # the recurrence and the true residual agree to rounding
     drifts = [float(r["max_residual_drift"]) for r in records]
     assert all(0.0 <= d <= 1e-8 for d in drifts) and max(drifts) > 0.0
+    # every row carries the line search's curvature and the PCG residual
+    assert all(float(r["energy"]) > 0.0 for r in records)
+    assert all(0.0 <= float(r["pcg_residual"]) < float("inf") for r in records)
     metrics = (out_dir / "metrics.txt").read_text()
     assert "psnr_db" in metrics and "total_matvecs" in metrics
 
@@ -181,9 +184,22 @@ def test_solve_rejects_unknown_key(tmp_path, capsys):
         assert not (out_dir / "trace.csv").exists()
 
 
-def test_solve_runs_without_audit(tmp_path, monkeypatch):
-    # audit mode's explicit energy and residual reach no output file, so the
-    # CLI does not pay the extra operator call for them
+def test_solve_defaults_to_the_exact_preconditioner(tmp_path):
+    # a config without precond runs exact_banded once it is switched on, at
+    # mu <= 1e-2: stages 2-5 of the six stages to mu = 1e-5
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text("size = 16\n")
+    out_dir = tmp_path / "out"
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    with open(out_dir / "trace.csv") as fh:
+        rows = list(csv.reader(fh))
+    modes = {}
+    for r in (dict(zip(rows[0], row)) for row in rows[1:]):
+        modes.setdefault(int(r["stage"]), set()).add(r["precond_mode"])
+    assert modes == {0: {"none"}, 1: {"none"}, **{s: {"exact_banded"} for s in range(2, 6)}}
+
+
+def test_solve_passes_the_keys_it_sets_to_the_solver(tmp_path, monkeypatch):
     configs = []
     run = cli.run_continuation
 
@@ -196,7 +212,6 @@ def test_solve_runs_without_audit(tmp_path, monkeypatch):
     cfg.write_text(SOLVE_CONFIG)
     assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
     (config,) = configs
-    assert not config.audit
     # keys the file sets reach the solver; the others keep SolverConfig's defaults
     assert (config.grad_tol, config.max_outer) == (1e-6, 40)
     assert config.eta == SolverConfig().eta

@@ -34,6 +34,7 @@ def test_zero_rhs_returns_zero():
     out = pcg_solve(lambda v: 2 * v, np.zeros(4), cap=10)
     assert out.converged and out.iterations == 0
     np.testing.assert_array_equal(out.solution, np.zeros(4))
+    np.testing.assert_array_equal(out.op_solution, np.zeros(4))
 
 
 def test_energy_identity_with_zero_start():
@@ -167,6 +168,11 @@ def test_matches_reference_loop_bitwise(name):
     # the drift is a nonnegative float, so == is bit equality
     fields = ("iterations", "converged", "negative_curvature", "max_residual_drift")
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    # a converged exit returns the op(x) its gate formed; no other exit does
+    if got.converged:
+        assert got.op_solution.tobytes() == op(got.solution).tobytes()
+    else:
+        assert got.op_solution is None
     if name == "recheck_exit":
         assert want.iterations == 2 * RECHECK_EVERY and want.converged
     if name == "truncated":

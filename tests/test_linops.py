@@ -20,16 +20,6 @@ from csnewton.linops import (
 )
 
 
-def band_to_dense(ab):
-    """Symmetric matrix from LAPACK upper-band storage."""
-    u, n = ab.shape[0] - 1, ab.shape[1]
-    s = np.zeros((n, n))
-    for k in range(u + 1):
-        s[np.arange(n - k), np.arange(k, n)] = ab[u - k, k:]
-        s[np.arange(k, n), np.arange(n - k)] = ab[u - k, k:]
-    return s
-
-
 def assert_adjoint_consistent(op, rng, pairs=100, rtol=1e-10):
     complex_in = op.field == "complex"
     for _ in range(pairs):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from pcg_reference import reference_pcg_solve
 from scipy.linalg import cholesky_banded, eigvalsh
-from test_linops import band_to_dense
 
 from csnewton.linops import (
     analysis_parts,
@@ -76,6 +75,17 @@ def oracle_target(system):
     return system.obj.c * matrix_free_symb(system) + RHO * np.eye(system.obj.n)
 
 
+def band_to_dense(ab):
+    """Symmetric matrix from LAPACK lower-band storage: entry (j + k, j)
+    at row k, column j."""
+    n = ab.shape[1]
+    s = np.zeros((n, n))
+    for k in range(ab.shape[0]):
+        s[np.arange(k, n), np.arange(n - k)] = ab[k, : n - k]
+        s[np.arange(n - k), np.arange(k, n)] = ab[k, : n - k]
+    return s
+
+
 @pytest.mark.parametrize("kind", sorted(ORACLE_SYSTEMS))
 def test_curvature_band_matches_matrix_free_oracle(kind):
     # the gradient systems write the band from their stencil, the dense
@@ -91,7 +101,8 @@ def test_curvature_band_matches_matrix_free_oracle(kind):
 
 def _parent_curvature_band(d1, d4, d23, n1, n2):
     """The band writer the stencil kernel replaced, kept verbatim as the
-    bit-for-bit reference of the band of sym(Bt)."""
+    bit-for-bit reference of the band of sym(Bt), in LAPACK upper-band
+    storage: entry (j - k, j) at row n1 - k, column j."""
     ah, av, ac = d1.copy(), d4.copy(), d23.copy()
     ah[-n1:] = ac[-n1:] = 0.0
     av[n1 - 1 :: n1] = ac[n1 - 1 :: n1] = 0.0
@@ -108,18 +119,23 @@ def _parent_curvature_band(d1, d4, d23, n1, n2):
 
 @pytest.mark.parametrize("n1,n2", [(2, 5), (5, 2), (24, 40), (40, 24), (64, 64)])
 def test_gradient_band_is_the_parent_band_bit_for_bit(n1, n2):
-    # c*S + RHO*I, S from the parent's band writer, is the band that
-    # exact_banded factors, to the last bit, fresh or in used storage
+    # c*S + RHO*I, S from the parent's band writer moved to lower storage, is
+    # the band that exact_banded factors, to the last bit, fresh or in used
+    # storage
     obj, system = itv_system(n1=n1, n2=n2, mu=1e-3, c=0.3)
-    reference = obj.c * _parent_curvature_band(system.d1, system.d4, system.d23, n1, n2)
-    reference[-1] += RHO
+    upper = obj.c * _parent_curvature_band(system.d1, system.d4, system.d23, n1, n2)
+    upper[-1] += RHO
+    n = n1 * n2
+    reference = np.zeros_like(upper, order="F")
+    for k in range(n1 + 1):
+        reference[k, : n - k] = upper[n1 - k, k:]
     ab = _target_band(system)
     assert ab.flags.f_contiguous and ab.tobytes() == reference.tobytes()
     used = np.asfortranarray(np.random.default_rng(7).standard_normal(ab.shape))
     assert _target_band(system, out=used) is used
     assert used.tobytes() == reference.tobytes()
     pre = build_for_system(system, "exact_banded")
-    assert pre.band.tobytes() == cholesky_banded(reference).tobytes()
+    assert pre.band.tobytes() == cholesky_banded(reference, lower=True).tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_SYSTEMS))

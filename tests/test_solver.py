@@ -243,6 +243,28 @@ def test_rejected_line_search_leaves_x(monkeypatch):
     assert all(b <= a + 1e-12 * abs(a) for a, b in zip(fs, fs[1:]))
 
 
+def test_capped_solve_pays_one_product_and_is_flagged(monkeypatch):
+    # a converged PCG solve hands back Bhat dx from its exit gate; a capped
+    # one does not, so the solver forms it once, counted as one PCG
+    # iteration, and the record's residual shows the missed forcing term
+    import csnewton.solver
+    from csnewton.diagnostics import check_solver_invariants
+
+    pcg = csnewton.solver.pcg_solve
+
+    def capped(op, rhs, precond, eta, *, cap, flexible):
+        return pcg(op, rhs, precond, eta, cap=2, flexible=flexible)
+
+    monkeypatch.setattr(csnewton.solver, "pcg_solve", capped)
+    obj = small_instance(np.random.default_rng(17), n=16, mu=1e-2)
+    state = solve_subproblem(obj, SolverConfig(eta=1e-8, max_outer=3))
+    assert len(state.trace) == 3 and not any(r.pcg_converged for r in state.trace)
+    assert state.counters.pcg_iters == sum(r.pcg_iters + 1 for r in state.trace)
+    assert all(r.energy > 0.0 for r in state.trace)
+    violations = check_solver_invariants(state.trace).violations
+    assert len(violations) == 3 and all("PCG residual" in v for v in violations)
+
+
 def test_zero_data_terminates_immediately():
     rng = np.random.default_rng(8)
     obj = small_instance(rng)
@@ -292,7 +314,7 @@ def test_trace_invariants_on_healthy_run():
 
     rng = np.random.default_rng(10)
     obj = small_instance(rng, n=16, mu=1e-2, c=0.1)
-    config = SolverConfig(grad_tol=1e-10, max_outer=100, audit=True, precond_mode="exact_banded")
+    config = SolverConfig(grad_tol=1e-10, max_outer=100, precond_mode="exact_banded")
     state = run_continuation(obj, config, make_schedule(0.1, 1e-2))
     assert state.converged
     assert all(r.accepted for r in state.trace)
@@ -300,14 +322,13 @@ def test_trace_invariants_on_healthy_run():
         fs = [r.f for r in state.trace if r.stage == stage]
         assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(fs, fs[1:]))
         # sufficient decrease as accepted: f_new <= f_prev - tau2*alpha*energy,
-        # with the zero-start CG energy dx^T Bhat dx = -grad_dot_dx
+        # with the recorded energy dx^T Bhat dx
         recs = [r for r in state.trace if r.stage == stage]
         for prev, rec in zip(fs, recs[1:]):
-            energy = -rec.grad_dot_dx
-            assert rec.f <= prev - 1e-3 * rec.alpha * energy + 1e-10 * max(1.0, abs(prev))
+            assert rec.f <= prev - 1e-3 * rec.alpha * rec.energy + 1e-10 * max(1.0, abs(prev))
     assert all(r.dual_box <= 1.0 + 1e-12 for r in state.trace)
     for r in state.trace:
-        assert abs(r.energy_explicit + r.grad_dot_dx) <= 1e-8 * max(1.0, abs(r.grad_dot_dx))
+        assert r.energy > 0.0
         assert r.pcg_residual <= r.eta * r.grad_norm_in * (1 + 1e-10)
 
 
