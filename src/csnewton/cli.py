@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 import time
@@ -29,11 +30,10 @@ from .linops import make_dense_dictionary, make_gradient2d
 from .precond import spectrum_report
 from .problems import ProblemInstance, make_itv_instance, psnr, relative_error, shepp_logan
 from .smoothing import SmoothedObjective
-from .solver import SolverConfig, solve_subproblem
+from .solver import IterationRecord, SolverConfig, solve_subproblem
 
-TRACE_COLUMNS = ["stage", "iter", "f", "grad_norm", "pcg_iters", "alpha", "backtracks", "time_s",
-                 "eta", "pcg_converged", "max_residual_drift", "precond_mode", "accepted",
-                 "energy", "pcg_residual"]
+# one trace.csv column per IterationRecord field, in field order
+TRACE_COLUMNS = [f.name for f in dataclasses.fields(IterationRecord)]
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +209,7 @@ def write_trace_csv(path, trace) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for rec in trace:
-            writer.writerow(
-                [rec.stage, rec.outer_iter, f"{rec.f:.12e}", f"{rec.grad_norm:.6e}",
-                 rec.pcg_iters, f"{rec.alpha:.6e}", rec.backtracks, f"{rec.wall_time:.6f}",
-                 f"{rec.eta:.6e}", int(rec.pcg_converged), f"{rec.max_residual_drift:.6e}",
-                 rec.precond_mode, int(rec.accepted), f"{rec.energy:.12e}",
-                 f"{rec.pcg_residual:.6e}"]
-            )
+            writer.writerow([getattr(rec, name) for name in TRACE_COLUMNS])
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +284,16 @@ def _cmd_spectrum(args) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["system", "stage", "iter", "index", "raw_lambda", "precond_lambda",
-                         "sigma", "delta", "chi", "bound", "bound_kernel"])
+                         "sigma", "delta", "chi", "bound", "bound_kernel", "kernel_residual"])
         for sys_idx, snap in enumerate(state.snapshots):
             rep = spectrum_report(snap.system, nu)
-            for i, (raw, pre) in enumerate(zip(rep.raw_eigs, rep.precond_eigs)):
+            for i, (raw, pre, kres) in enumerate(
+                zip(rep.raw_eigs, rep.precond_eigs, rep.kernel_residuals)
+            ):
                 writer.writerow(
                     [sys_idx, snap.stage, snap.outer_iter, i, f"{raw:.10e}", f"{pre:.10e}",
                      rep.sigma, f"{rep.delta:.6e}", f"{rep.chi:.6e}",
-                     f"{rep.bound:.6e}", f"{rep.bound_kernel:.6e}"]
+                     f"{rep.bound:.6e}", f"{rep.bound_kernel:.6e}", f"{kres:.6e}"]
                 )
     print(f"wrote spectra of {len(state.snapshots)} systems to {args.out}")
     return 0

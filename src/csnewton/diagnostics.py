@@ -111,7 +111,7 @@ def check_solver_invariants(trace: Sequence[IterationRecord]) -> InvariantReport
         if rec.stage in prev_f and raised(prev_f[rec.stage], rec.f):
             report.violations.append(f"{tag}: objective increased {prev_f[rec.stage]} -> {rec.f}")
         prev_f[rec.stage] = rec.f
-        if rec.accepted and rec.f_in is not None and raised(rec.f_in, rec.f):
+        if rec.accepted and raised(rec.f_in, rec.f):
             report.violations.append(f"{tag}: accepted step raised f {rec.f_in} -> {rec.f}")
         if rec.dual_box > 1.0 + BOX_TOL:
             report.violations.append(f"{tag}: dual box violated, |g|_inf = {rec.dual_box}")

@@ -19,7 +19,7 @@ as a truncated inner CG, loses conjugacy, which the explicit
 orthogonalization restores against the two latest directions (Golub &
 Ye, SIAM J. Sci. Comput. 21(4), 1999).  With a linear preconditioner
 both recurrences are the same method in exact arithmetic.  The solver
-turns it on for the ``truncated_cg`` preconditioner only.
+turns it on for a preconditioner that is not ``Preconditioner.linear``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["PcgOutcome", "NonFiniteError", "pcg_solve"]
+__all__ = ["PcgOutcome", "NonFiniteError", "NegativeCurvatureError", "pcg_solve"]
 
 RECHECK_EVERY = 50
 
@@ -39,12 +39,16 @@ class NonFiniteError(RuntimeError):
     """Raised when an operator or preconditioner action produces NaN/Inf."""
 
 
+class NegativeCurvatureError(RuntimeError):
+    """Raised when a search direction p has p^T op(p) <= 0: the operator is
+    not positive definite, which in the Newton solver means invalid duals."""
+
+
 @dataclass
 class PcgOutcome:
     solution: np.ndarray
     iterations: int
     converged: bool
-    negative_curvature: bool = False
     max_residual_drift: float = 0.0
     op_solution: Optional[np.ndarray] = None  # op(solution), set when converged
 
@@ -86,9 +90,15 @@ def pcg_solve(
     PcgOutcome
         ``op_solution`` is op(x) as the exit gate computed it, at every
         converged exit (zeros for a zero ``rhs``), and ``None`` otherwise.
-        ``negative_curvature`` is set (and the solve stops) when a search
-        direction p has p^T op(p) <= 0, which signals that the operator
-        was assembled from invalid data.
+
+    Raises
+    ------
+    NegativeCurvatureError
+        When a search direction p has p^T op(p) <= 0, which signals that
+        the operator was assembled from invalid data.
+    NonFiniteError
+        When p^T op(p), the residual or the preconditioned residual is not
+        finite.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
@@ -113,8 +123,7 @@ def pcg_solve(
         if not math.isfinite(pq):
             raise NonFiniteError(f"non-finite curvature p^T op(p) at iteration {k}")
         if pq <= 0.0:
-            return PcgOutcome(x, k - 1, False, negative_curvature=True,
-                              max_residual_drift=max_drift)
+            raise NegativeCurvatureError(f"nonpositive curvature p^T op(p) = {pq} at iteration {k}")
         alpha = rz / pq
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(q, alpha, out=step)

@@ -32,17 +32,20 @@ shift is tried.
 
 The fixed inner count, ``TRUNCATED_CG_SWEEPS`` (15, the CLI's ``cg15``),
 keeps the approximate application deterministic, but zero-start CG is not
-linear in r: its step lengths depend on r.  The solver therefore runs
-outer PCG with the flexible recurrence under ``truncated_cg`` (see
-``krylov``; Notay, "Flexible conjugate gradients", SIAM J. Sci. Comput.
-22(4), 2000).  A target whose diagonal is not positive and finite, or an
-inner sweep that meets nonpositive curvature, means the duals were
-invalid: both raise ``LinAlgError``.
+linear in r: its step lengths depend on r.  Its ``Preconditioner`` is
+therefore not ``linear``, and the solver runs outer PCG with the flexible
+recurrence (see ``krylov``; Notay, "Flexible conjugate gradients", SIAM
+J. Sci. Comput. 22(4), 2000).  The preconditioner counts the inner CG
+iterations of all its applications in ``sweeps``.  A target whose
+diagonal is not positive and finite means the duals were invalid and
+raises ``LinAlgError``; an inner sweep that meets nonpositive curvature
+raises ``krylov.NegativeCurvatureError``.
 """
 
 from __future__ import annotations
 
 import mmap
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -78,7 +81,8 @@ class Preconditioner:
 
     action: Optional[Callable[[np.ndarray], np.ndarray]]
     rebuilds: int = 0  # always 0; the benchmark's tracer still reports it
-    inner: int = 0
+    linear: bool = True  # False for truncated_cg: outer PCG must then be flexible
+    sweeps: int = 0  # inner CG iterations run by all applications so far
     band: Optional[np.ndarray] = None  # the banded Cholesky factor, exact_banded only
 
 
@@ -98,17 +102,18 @@ def build_for_system(
 
     if mode == "truncated_cg":
         n_action, s = _jacobi_scaled_target(system)
+        pre = Preconditioner(None, linear=False)
+        # weak, so that pre and its action form no cycle: with one, every
+        # stage's last preconditioner outlived its solve until a collection
+        counted = weakref.proxy(pre)
 
         def apply_approx(r):
             inner = pcg_solve(n_action, s * r, None, eta=0.0, cap=TRUNCATED_CG_SWEEPS)
-            if inner.negative_curvature:
-                raise np.linalg.LinAlgError(
-                    f"truncated_cg: inner CG met nonpositive curvature at sweep "
-                    f"{inner.iterations + 1}"
-                )
+            counted.sweeps += inner.iterations
             return s * inner.solution
 
-        return Preconditioner(apply_approx, inner=TRUNCATED_CG_SWEEPS)
+        pre.action = apply_approx
+        return pre
 
     if mode == "exact_banded":
         band = _target_band(system, band)

@@ -35,6 +35,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import smoothing
 from .krylov import NonFiniteError, pcg_solve
 from .linops import analysis_parts, stencil_matrix, synth_real
 from .precond import build_for_system
@@ -46,7 +47,6 @@ __all__ = [
     "IterationRecord",
     "SystemSnapshot",
     "LineSearchResult",
-    "NegativeCurvatureError",
     "NewtonSystem",
     "project_linf",
     "line_search",
@@ -58,10 +58,6 @@ __all__ = [
 TAU1 = 0.9
 TAU2 = 1.0e-3
 MAX_BACKTRACKS = 200  # TAU1**200 ~ 7e-10; each trial costs O(l + m), no operator call
-
-
-class NegativeCurvatureError(RuntimeError):
-    """PCG met a direction with nonpositive curvature; the duals were invalid."""
 
 
 @dataclass(frozen=True)
@@ -115,8 +111,8 @@ class IterationRecord:
     pcg_converged: bool
     max_residual_drift: float
     pcg_residual: float  # ||Bhat dx + grad f||
-    precond_mode: str = "none"  # the stage's preconditioner
-    f_in: Optional[float] = None  # f at the iterate the step started from
+    precond_mode: str  # the stage's preconditioner
+    f_in: float  # f at the iterate the step started from
 
 
 @dataclass
@@ -291,10 +287,9 @@ def line_search(
 
 
 def _grad_and_norm(obj: SmoothedObjective, x: np.ndarray, counters: Counters):
-    from .smoothing import objective_grad
-
     counters.grad_evals += 1
-    g = objective_grad(obj, x)
+    # looked up in smoothing at each call, so that a patch of it there is seen
+    g = smoothing.objective_grad(obj, x)
     return g, float(np.linalg.norm(g))
 
 
@@ -335,19 +330,10 @@ def solve_subproblem(
         if config.eta_schedule == "decreasing":
             eta_k = min(config.eta, float(np.sqrt(gnorm)))
 
-        # inner CG sweeps make the preconditioner nonlinear in the residual,
-        # which the flexible recurrence tolerates
         outcome = pcg_solve(system.bhat_matvec, -grad, pre.action, eta_k, cap=10 * obj.n,
-                            flexible=pre.inner > 0)
+                            flexible=not pre.linear)
         counters.pcg_iters += outcome.iterations
-        # PCG preconditions the first residual and each one it does not exit
-        # on: one application per iteration, plus one if stopped early.
-        # pre.inner is 0 unless the preconditioner runs truncated CG
-        counters.precond_inner_iters += pre.inner * (outcome.iterations + (not outcome.converged))
-        if outcome.negative_curvature:
-            raise NegativeCurvatureError(
-                f"nonpositive curvature in PCG at outer iteration {state.outer_iter}"
-            )
+        counters.precond_inner_iters += pre.sweeps
         dx = outcome.solution
         bdx = outcome.op_solution
         if bdx is None:  # a capped solve: its exit gate never formed Bhat dx

@@ -1,12 +1,13 @@
 """The previous ``pcg_solve`` loop, kept verbatim as the reference that the
 allocation-light loop in ``csnewton.krylov`` must match bit for bit: the
-same solution, iteration count, flags and residual drift."""
+same solution, iteration count, flags and residual drift, and the same
+``NegativeCurvatureError`` on nonpositive curvature."""
 
 from typing import Callable, Optional
 
 import numpy as np
 
-from csnewton.krylov import RECHECK_EVERY, NonFiniteError, PcgOutcome
+from csnewton.krylov import RECHECK_EVERY, NegativeCurvatureError, NonFiniteError, PcgOutcome
 
 
 def reference_pcg_solve(
@@ -38,8 +39,7 @@ def reference_pcg_solve(
         if not np.isfinite(pq):
             raise NonFiniteError(f"non-finite curvature p^T op(p) at iteration {k}")
         if pq <= 0.0:
-            return PcgOutcome(x, k - 1, False, negative_curvature=True,
-                              max_residual_drift=max_drift)
+            raise NegativeCurvatureError(f"nonpositive curvature p^T op(p) = {pq} at iteration {k}")
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q

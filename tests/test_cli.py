@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 from csnewton import cli
 from csnewton.problems import shepp_logan
-from csnewton.solver import SolverConfig
+from csnewton.solver import IterationRecord, SolverConfig
 
 
 def run_cli(args):
@@ -133,7 +134,7 @@ def test_solve_command_outputs(tmp_path):
     # the last stage (mu = 1e-2), and there with eta = 1e-2
     records = [dict(zip(rows[0], row)) for row in rows[1:]]
     assert {(r["stage"], float(r["eta"])) for r in records} == {("0", 0.1), ("1", 0.1), ("2", 1e-2)}
-    assert {r["pcg_converged"] for r in records} == {"1"}
+    assert {r["pcg_converged"] for r in records} == {"True"}
     # PCG rechecks its residual explicitly only at exit at this size, where
     # the recurrence and the true residual agree to rounding
     drifts = [float(r["max_residual_drift"]) for r in records]
@@ -141,6 +142,11 @@ def test_solve_command_outputs(tmp_path):
     # every row carries the line search's curvature and the PCG residual
     assert all(float(r["energy"]) > 0.0 for r in records)
     assert all(0.0 <= float(r["pcg_residual"]) < float("inf") for r in records)
+    # where its step started, the gradient norm and f, and the dual box after
+    # it, which the projection keeps within rounding of 1
+    assert all(float(r["f"]) <= float(r["f_in"]) for r in records if r["accepted"] == "True")
+    assert all(float(r["grad_norm_in"]) > 0.0 for r in records)
+    assert all(0.0 < float(r["dual_box"]) <= 1.0 + 1e-12 for r in records)
     metrics = (out_dir / "metrics.txt").read_text()
     assert "psnr_db" in metrics and "total_matvecs" in metrics
 
@@ -159,7 +165,30 @@ def test_solve_trace_names_each_stage_preconditioner(tmp_path):
     for r in records:
         modes.setdefault(int(r["stage"]), set()).add(r["precond_mode"])
     assert modes == {**{s: {"none"} for s in range(4)}, 4: {"truncated_cg"}, 5: {"truncated_cg"}}
-    assert {r["accepted"] for r in records} <= {"0", "1"} and records[-1]["accepted"] == "1"
+    assert {r["accepted"] for r in records} <= {"False", "True"}
+    assert records[-1]["accepted"] == "True"
+
+
+def test_trace_csv_writes_every_record_field_at_full_precision(tmp_path):
+    rec = IterationRecord(
+        stage=2, outer_iter=7, f=1.0 / 3.0, grad_norm=2.0 ** -40, grad_norm_in=0.1,
+        pcg_iters=12, alpha=0.9 ** 5, backtracks=5, wall_time=1e-3 / 7.0, eta=1e-2,
+        energy=np.pi, dual_box=1.0 - 2.0 ** -52, accepted=False, pcg_converged=True,
+        max_residual_drift=3e-17, pcg_residual=np.e, precond_mode="exact_banded",
+        f_in=2.0 / 3.0,
+    )
+    path = tmp_path / "trace.csv"
+    cli.write_trace_csv(path, [rec])
+    with open(path) as fh:
+        header, row = list(csv.reader(fh))
+    assert header == [f.name for f in dataclasses.fields(IterationRecord)]
+    assert {"grad_norm_in", "dual_box", "f_in"} <= set(header)
+    cells = dict(zip(header, row))
+    for name, value in dataclasses.asdict(rec).items():
+        if isinstance(value, float):
+            assert float(cells[name]) == value, name
+        else:
+            assert cells[name] == str(value), name
 
 
 def test_solve_deterministic(tmp_path):
@@ -280,9 +309,19 @@ def test_spectrum_command(tmp_path):
     header = rows[0]
     assert header[:6] == ["system", "stage", "iter", "index", "raw_lambda", "precond_lambda"]
     assert {"sigma", "delta", "chi", "bound", "bound_kernel"} <= set(header)
+    assert header[-1] == "kernel_residual"
     data = np.array([[float(r[4]), float(r[5])] for r in rows[1:]])
     assert np.all(np.isfinite(data))
     assert np.all(data[:, 0] > 0)
+    # with every analysis row in the small-diagonal set (sigma = n = 256)
+    # no eigenvector survives outside it; past that, some do
+    residuals = {}
+    for r in rows[1:]:
+        residuals.setdefault((r[0], int(r[6])), []).append(float(r[-1]))
+    assert 256 in {sigma for _, sigma in residuals} and min(s for _, s in residuals) < 256
+    for (_, sigma), values in residuals.items():
+        assert all(0.0 <= v < np.inf for v in values)
+        assert (max(values) == 0.0) == (sigma == 256)
 
 
 @pytest.mark.parametrize("every", ["0", "-2"])

@@ -49,12 +49,14 @@ def test_derivative_check_rejects_large_instances():
 
 
 def record(stage=0, it=1, f=1.0, gnorm=1.0, gnorm_in=1.0, box=1.0, resid=0.0, eta=0.1,
-           converged=True):
+           converged=True, accepted=True, f_in=None):
+    """A record whose step started from ``f_in``, by default ``f``."""
     return IterationRecord(
         stage=stage, outer_iter=it, f=f, grad_norm=gnorm, grad_norm_in=gnorm_in,
         pcg_iters=3, alpha=1.0, backtracks=0, wall_time=0.0, eta=eta,
-        energy=1.0, dual_box=box, accepted=True, pcg_converged=converged,
-        max_residual_drift=0.0, pcg_residual=resid,
+        energy=1.0, dual_box=box, accepted=accepted, pcg_converged=converged,
+        max_residual_drift=0.0, pcg_residual=resid, precond_mode="none",
+        f_in=f if f_in is None else f_in,
     )
 
 
@@ -82,15 +84,10 @@ def test_invariant_checker_flags_objective_increase():
 def test_invariant_checker_flags_an_accepted_step_that_raises_f():
     # a stage of one step has no consecutive records to compare; each
     # accepted record is checked against the f its step started from
-    record_in = record(f=2.0)
-    record_in.f_in = 1.5
-    rep = check_solver_invariants([record_in])
+    rep = check_solver_invariants([record(f=2.0, f_in=1.5)])
     assert any("iter 1" in v and "raised f" in v for v in rep.violations)
-    rejected = record(f=2.0)
-    rejected.f_in, rejected.accepted = 1.5, False
-    assert check_solver_invariants([rejected]).passed
-    record_in.f_in = 2.0
-    assert check_solver_invariants([record_in]).passed
+    assert check_solver_invariants([record(f=2.0, f_in=1.5, accepted=False)]).passed
+    assert check_solver_invariants([record(f=2.0, f_in=2.0)]).passed
 
 
 def test_traced_continuation_records_f_in_and_passes_the_audit():
@@ -99,7 +96,7 @@ def test_traced_continuation_records_f_in_and_passes_the_audit():
     state = run_continuation(obj, SolverConfig(precond_mode="exact_banded"),
                              make_schedule(1e-2, 1e-5))
     assert state.converged
-    assert all(r.f_in is not None and r.f <= r.f_in for r in state.trace)
+    assert all(r.f <= r.f_in for r in state.trace)
     assert check_solver_invariants(state.trace).violations == []
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csnewton.krylov import RECHECK_EVERY, NonFiniteError, PcgOutcome, pcg_solve
+from csnewton.krylov import RECHECK_EVERY, NegativeCurvatureError, NonFiniteError, pcg_solve
 from pcg_reference import reference_pcg_solve
 
 
@@ -101,9 +101,10 @@ def test_exit_on_recheck_iteration_applies_op_once():
 
 
 def test_negative_curvature_flagged():
+    # the first direction is the rhs, whose curvature 0.09 - 1 is negative
     a = np.diag([1.0, -1.0])
-    out = pcg_solve(lambda v: a @ v, np.array([0.3, 1.0]), eta=1e-10, cap=10)
-    assert out.negative_curvature and not out.converged
+    with pytest.raises(NegativeCurvatureError, match=r"p\^T op\(p\) = -0\.91 at iteration 1"):
+        pcg_solve(lambda v: a @ v, np.array([0.3, 1.0]), eta=1e-10, cap=10)
 
 
 def test_nonfinite_raises():
@@ -162,11 +163,20 @@ def _case(name):
 )
 def test_matches_reference_loop_bitwise(name):
     op, rhs, precond, eta, cap = _case(name)
+    if name == "negative_curvature":
+        with pytest.raises(NegativeCurvatureError) as got:
+            pcg_solve(op, rhs, precond, eta, cap=cap)
+        with pytest.raises(NegativeCurvatureError) as want:
+            reference_pcg_solve(op, rhs, precond, eta, cap=cap)
+        # the message holds p^T op(p) and the iteration: both loops stop at
+        # the same direction with the same curvature
+        assert str(got.value) == str(want.value)
+        return
     got = pcg_solve(op, rhs, precond, eta, cap=cap)
     want = reference_pcg_solve(op, rhs, precond, eta, cap=cap)
     assert got.solution.tobytes() == want.solution.tobytes()
     # the drift is a nonnegative float, so == is bit equality
-    fields = ("iterations", "converged", "negative_curvature", "max_residual_drift")
+    fields = ("iterations", "converged", "max_residual_drift")
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
     # a converged exit returns the op(x) its gate formed; no other exit does
     if got.converged:
@@ -177,8 +187,6 @@ def test_matches_reference_loop_bitwise(name):
         assert want.iterations == 2 * RECHECK_EVERY and want.converged
     if name == "truncated":
         assert want.iterations == 15 and not want.converged
-    if name == "negative_curvature":
-        assert want.negative_curvature
 
 
 def _recording(a):

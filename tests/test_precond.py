@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from pcg_reference import reference_pcg_solve
 from scipy.linalg import cholesky_banded, eigvalsh
 
+from csnewton.krylov import NegativeCurvatureError
 from csnewton.linops import (
     analysis_parts,
     dense_columns,
@@ -177,11 +181,37 @@ def test_truncated_cg_dominant_shift_limit():
     # iterations invert it to high accuracy
     obj, system = itv_system(c=1e-9)
     pre = build_for_system(system, "truncated_cg")
-    assert pre.inner == 15
+    assert pre.linear is False and pre.sweeps == 0
     rng = np.random.default_rng(3)
     r = rng.standard_normal(obj.n)
     back = oracle_target(system) @ pre.action(r)
     assert np.linalg.norm(back - r) <= 1e-4 * np.linalg.norm(r)
+    # one application runs all 15 inner sweeps: eta = 0 never exits early
+    assert pre.sweeps == TRUNCATED_CG_SWEEPS == 15
+
+
+def test_truncated_cg_is_freed_once_dropped():
+    # its action counts on it without keeping it alive: no reference cycle
+    # holds a stage's last preconditioner until the next garbage collection
+    obj, system = itv_system()
+    pre = build_for_system(system, "truncated_cg")
+    pre.action(np.ones(obj.n))
+    freed = weakref.ref(pre)
+    gc.disable()
+    try:
+        del pre
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("mode", ["none", "exact_banded"])
+def test_linear_preconditioners_run_no_inner_sweeps(mode):
+    obj, system = itv_system()
+    pre = build_for_system(system, mode)
+    if pre.action is not None:
+        pre.action(np.random.default_rng(5).standard_normal(obj.n))
+    assert pre.linear is True and pre.sweeps == 0
 
 
 def test_truncated_cg_is_jacobi_pcg_on_the_target():
@@ -218,14 +248,14 @@ def test_truncated_cg_rejects_a_nonpositive_target_diagonal():
 def test_truncated_cg_raises_on_inner_negative_curvature():
     # a positive diagonal but an indefinite target: the build succeeds, and
     # an application along a negative-curvature direction of the scaled
-    # target must raise, not return the sweeps before it
+    # target must raise inner CG's error, not return the sweeps before it
     _, system = out_of_box_system(3.0)
     nd = oracle_target(system)
     sqrt_diag = np.sqrt(np.diag(nd))
     evals, evecs = np.linalg.eigh(nd / np.outer(sqrt_diag, sqrt_diag))
     assert evals[0] < 0.0
     pre = build_for_system(system, "truncated_cg")
-    with pytest.raises(np.linalg.LinAlgError, match="truncated_cg"):
+    with pytest.raises(NegativeCurvatureError, match="at iteration 1$"):
         pre.action(sqrt_diag * evecs[:, 0])
 
 

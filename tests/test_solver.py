@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hessian_oracle import hess_f_matvec
 
+from csnewton.krylov import NegativeCurvatureError, pcg_solve
 from csnewton.linops import (
     dense_columns,
     make_dense_dictionary,
@@ -11,7 +12,6 @@ from csnewton.linops import (
 from csnewton.smoothing import SmoothedObjective, build_D, objective_value
 from csnewton.solver import (
     MAX_BACKTRACKS,
-    NegativeCurvatureError,
     NewtonSystem,
     SolverConfig,
     fresh_state,
@@ -367,16 +367,14 @@ def test_superlinear_tail_with_decreasing_eta():
 
 
 def test_negative_curvature_flagged_for_invalid_duals():
-    # duals far outside the box break positive definiteness; PCG must flag
-    # the nonpositive curvature instead of iterating on garbage
+    # duals far outside the box break positive definiteness; PCG must raise
+    # on the nonpositive curvature instead of iterating on garbage
     rng = np.random.default_rng(14)
     obj = small_instance(rng, n=10, mu=1e-3, c=5.0)
     x = rng.standard_normal(obj.n)
     system = NewtonSystem(obj, x, 40.0 * np.ones(obj.W.cols), np.zeros(obj.W.cols))
-    from csnewton.krylov import pcg_solve
-
-    out = pcg_solve(system.bhat_matvec, rng.standard_normal(obj.n), eta=1e-10, cap=50)
-    assert out.negative_curvature and not out.converged
+    with pytest.raises(NegativeCurvatureError):
+        pcg_solve(system.bhat_matvec, rng.standard_normal(obj.n), eta=1e-10, cap=50)
 
 
 def test_entry_projection_protects_solver_from_bad_warm_start():
