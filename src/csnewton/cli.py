@@ -178,7 +178,7 @@ def _build_problem(cfg):
     A = make_dense_dictionary(rng.standard_normal((m, n)) / math.sqrt(n), field="real")
     x_true = rng.standard_normal(n)
     b = A.apply(x_true)
-    inst = ProblemInstance(A=A, W=W, b=b, ground_truth=x_true, noise=None, n1=n, n2=1)
+    inst = ProblemInstance(A=A, W=W, b=b, ground_truth=x_true, n1=n, n2=1)
     return inst, None
 
 

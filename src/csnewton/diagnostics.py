@@ -32,7 +32,6 @@ BOX_TOL = 1.0e-12
 
 @dataclass
 class DerivativeReport:
-    trials: int
     grad_max_rel_err: float
     hess_max_rel_err: float
 
@@ -75,7 +74,7 @@ def check_derivatives(obj: SmoothedObjective, trials: int = 50, seed: int = 0) -
             hess_err,
             float(np.linalg.norm(fd_hv - hv)) / max(1.0, float(np.linalg.norm(fd_hv))),
         )
-    return DerivativeReport(trials, grad_err, hess_err)
+    return DerivativeReport(grad_err, hess_err)
 
 
 @dataclass

@@ -43,7 +43,6 @@ __all__ = [
     "make_gradient2d",
     "make_partial_dct2",
     "make_dense_dictionary",
-    "make_zero_operator",
     "estimate_delta",
     "stencil_matrix",
     "dense_columns",
@@ -358,17 +357,6 @@ def make_dense_dictionary(entries: np.ndarray, field: str = "real") -> LinearOpe
         field=field,
         apply=lambda z: mat @ z,
         adjoint_apply=lambda x: mat.conj().T @ x,
-    )
-
-
-def make_zero_operator(rows: int, cols: int) -> LinearOperator:
-    """The zero map; handy for isolating regularizer-only behaviour."""
-    return LinearOperator(
-        rows=rows,
-        cols=cols,
-        field="real",
-        apply=lambda x: np.zeros(rows),
-        adjoint_apply=lambda v: np.zeros(cols),
     )
 
 

@@ -30,9 +30,11 @@ PCG rejects a non-finite preconditioned residual itself.  A factor that
 fails means the duals were invalid and raises ``LinAlgError``; no larger
 shift is tried.
 
-The fixed inner count, ``TRUNCATED_CG_SWEEPS`` (15, the CLI's ``cg15``),
-keeps the approximate application deterministic, but zero-start CG is not
-linear in r: its step lengths depend on r.  Its ``Preconditioner`` is
+The inner count is capped at ``TRUNCATED_CG_SWEEPS`` (15, the CLI's
+``cg15``); the sweeps stop sooner only once the inner residual is at
+round-off, ``TRUNCATED_CG_ETA`` relative.  Both keep the approximate
+application deterministic, but zero-start CG is not linear in r: its step
+lengths depend on r.  Its ``Preconditioner`` is
 therefore not ``linear``, and the solver runs outer PCG with the flexible
 recurrence (see ``krylov``; Notay, "Flexible conjugate gradients", SIAM
 J. Sci. Comput. 22(4), 2000).  The preconditioner counts the inner CG
@@ -65,6 +67,12 @@ __all__ = [
 ]
 
 TRUNCATED_CG_SWEEPS = 15
+# Inner CG stops at this relative residual, at round-off, not at 0: on a
+# target it solves in fewer sweeps, such as a multiple of the identity
+# (the l1-dense Parseval frame at x = 0), further sweeps drive the
+# residual to underflow until p^T op(p) = 0.0 aborts the solve.  No
+# benchmark solve reaches it within 15 sweeps.
+TRUNCATED_CG_ETA = 1e-12
 # The shift rho of the target c*sym(Bt) + rho*I.  Outer/PCG iterations of
 # the benchmark solves at instance seeds 0 and 1, tv128_exact; tv64_cg15:
 #   rho 0.1   28/392, 26/383;  44/3052, 39/2255
@@ -108,7 +116,7 @@ def build_for_system(
         counted = weakref.proxy(pre)
 
         def apply_approx(r):
-            inner = pcg_solve(n_action, s * r, None, eta=0.0, cap=TRUNCATED_CG_SWEEPS)
+            inner = pcg_solve(n_action, s * r, None, TRUNCATED_CG_ETA, cap=TRUNCATED_CG_SWEEPS)
             counted.sweeps += inner.iterations
             return s * inner.solution
 
@@ -228,7 +236,6 @@ class SpectrumReport:
     raw_eigs: np.ndarray
     precond_eigs: np.ndarray
     sigma: int
-    nu: float
     delta: float
     chi: float
     bound: float
@@ -285,7 +292,6 @@ def spectrum_report(system, nu: float) -> SpectrumReport:
         raw_eigs=raw_eigs,
         precond_eigs=pre_eigs,
         sigma=sigma,
-        nu=nu,
         delta=delta,
         chi=chi,
         bound=float(bound),

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linops import LinearOperator, SamplingMask, make_gradient2d, make_mask, make_partial_dct2
+from .linops import LinearOperator, make_gradient2d, make_mask, make_partial_dct2
 
 __all__ = [
     "ProblemInstance",
@@ -44,10 +44,8 @@ class ProblemInstance:
     W: LinearOperator
     b: np.ndarray
     ground_truth: Optional[np.ndarray]
-    noise: Optional[np.ndarray]
     n1: int
     n2: int
-    mask: Optional[SamplingMask] = None
 
 
 def shepp_logan(n1: int, n2: int) -> np.ndarray:
@@ -125,15 +123,5 @@ def make_itv_instance(
     mask = make_mask(n, m, seed + 1)
     A = make_partial_dct2(n1, n2, mask)
     W = make_gradient2d(n1, n2)
-    noisy = add_noise_to_psnr(image, target_psnr, seed)
-    b = A.apply(noisy.ravel(order="F"))
-    return ProblemInstance(
-        A=A,
-        W=W,
-        b=b,
-        ground_truth=image.copy(),
-        noise=noisy - image,
-        n1=n1,
-        n2=n2,
-        mask=mask,
-    )
+    b = A.apply(add_noise_to_psnr(image, target_psnr, seed).ravel(order="F"))
+    return ProblemInstance(A=A, W=W, b=b, ground_truth=image.copy(), n1=n1, n2=n2)

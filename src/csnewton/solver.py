@@ -180,7 +180,7 @@ class NewtonSystem:
     When the dictionary has a ``curvature_diagonals`` kernel (the 2D
     gradient), sym(Bt) is assembled once, as a sparse 7-diagonal stencil,
     and each curvature action is one sparse product.  Other dictionaries
-    (dense, zero) apply it matrix-free, as an analysis, a diagonal
+    (dense ones) apply it matrix-free, as an analysis, a diagonal
     scaling and a synthesis; assembling their S would cost O(n^2 l).
     """
 
@@ -314,11 +314,9 @@ def solve_subproblem(
     pre = None
     grad, gnorm = _grad_and_norm(obj, state.x, counters)
     tol = config.grad_tol * max(1.0, gnorm)
-    state.converged = gnorm <= tol
 
     for _ in range(config.max_outer):
         if gnorm <= tol:
-            state.converged = True
             break
         t0 = time.perf_counter()
         gnorm_in = gnorm
@@ -378,7 +376,5 @@ def solve_subproblem(
                 f_in=ls.f_x,
             )
         )
-    else:
-        state.converged = gnorm <= tol
-
+    state.converged = gnorm <= tol
     return state

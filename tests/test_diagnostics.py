@@ -6,7 +6,7 @@ import pytest
 from csnewton import solver
 from csnewton.continuation import make_schedule, run_continuation
 from csnewton.diagnostics import check_derivatives, check_solver_invariants, rate_probe
-from csnewton.linops import make_zero_operator
+from csnewton.linops import make_dense_dictionary
 from csnewton.problems import make_itv_instance, shepp_logan
 from csnewton.smoothing import SmoothedObjective
 from csnewton.solver import IterationRecord, SolverConfig, solve_subproblem
@@ -29,7 +29,7 @@ def test_derivative_check_passes_on_itv():
 def test_derivative_check_with_zero_measurement_operator():
     obj = itv_objective()
     pure = SmoothedObjective(
-        c=obj.c, mu=obj.mu, A=make_zero_operator(obj.A.rows, obj.A.cols), W=obj.W,
+        c=obj.c, mu=obj.mu, A=make_dense_dictionary(np.zeros((obj.A.rows, obj.A.cols))), W=obj.W,
         b=np.zeros(obj.A.rows),
     )
     rep = check_derivatives(pure, trials=30, seed=12)
@@ -37,9 +37,6 @@ def test_derivative_check_with_zero_measurement_operator():
 
 
 def test_derivative_check_rejects_large_instances():
-    big = itv_objective()
-    from csnewton.linops import make_dense_dictionary
-
     huge = SmoothedObjective(
         c=1.0, mu=1.0, A=make_dense_dictionary(np.ones((1, 400))),
         W=make_dense_dictionary(np.eye(400)), b=np.zeros(1),

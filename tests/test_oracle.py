@@ -8,17 +8,16 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from csnewton import cli
 from csnewton.problems import make_itv_instance, shepp_logan
 from csnewton.smoothing import SmoothedObjective, objective_grad, objective_value
 from csnewton.solver import SolverConfig, solve_subproblem
 
+MODES = ["none", "exact_banded", "truncated_cg"]
 
-@pytest.fixture(scope="module")
-def instance():
-    """The 16x16 phantom from 25% of its DCT, instance seed 0, c = 1e-2,
-    mu = 1e-3, and its L-BFGS-B minimizer (about 750 iterations)."""
-    inst = make_itv_instance(shepp_logan(16, 16), 0.25, math.inf, 0)
-    obj = SmoothedObjective(c=1e-2, mu=1e-3, A=inst.A, W=inst.W, b=inst.b)
+
+def with_lbfgsb_minimizer(obj):
+    """``obj``, its L-BFGS-B minimizer and the minimum."""
     result = minimize(
         lambda x: objective_value(obj, x), np.zeros(obj.n),
         jac=lambda x: objective_grad(obj, x), method="L-BFGS-B",
@@ -27,10 +26,37 @@ def instance():
     return obj, result.x, result.fun
 
 
-@pytest.mark.parametrize("mode", ["none", "exact_banded", "truncated_cg"])
-def test_solver_matches_lbfgsb_oracle(instance, mode):
-    obj, x_ref, f_ref = instance
+@pytest.fixture(scope="module")
+def instance():
+    """The 16x16 phantom from 25% of its DCT, instance seed 0, c = 1e-2,
+    mu = 1e-3, and its L-BFGS-B minimizer (about 750 iterations)."""
+    inst = make_itv_instance(shepp_logan(16, 16), 0.25, math.inf, 0)
+    return with_lbfgsb_minimizer(SmoothedObjective(c=1e-2, mu=1e-3, A=inst.A, W=inst.W, b=inst.b))
+
+
+@pytest.fixture(scope="module")
+def l1_dense_instance():
+    """The CLI's l1-dense instance at its defaults (n = 64, seed 0: a dense
+    Parseval frame, so the curvature is applied matrix-free), c = 1e-2,
+    mu = 1e-3, and its L-BFGS-B minimizer (about 260 iterations)."""
+    inst, _ = cli._build_problem(dict(cli._DEFAULTS, problem="l1-dense"))
+    return with_lbfgsb_minimizer(SmoothedObjective(c=1e-2, mu=1e-3, A=inst.A, W=inst.W, b=inst.b))
+
+
+def assert_matches_oracle(oracle, mode):
+    obj, x_ref, f_ref = oracle
     state = solve_subproblem(obj, SolverConfig(grad_tol=1e-12, precond_mode=mode))
     assert state.converged
     assert abs(objective_value(obj, state.x) - f_ref) <= 1e-10 * abs(f_ref)
     assert np.linalg.norm(state.x - x_ref) <= 1e-5 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_solver_matches_lbfgsb_oracle(instance, mode):
+    assert_matches_oracle(instance, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_solver_matches_lbfgsb_oracle_on_l1_dense(l1_dense_instance, mode):
+    assert l1_dense_instance[0].W.curvature_diagonals is None
+    assert_matches_oracle(l1_dense_instance, mode)

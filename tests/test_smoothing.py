@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hessian_oracle import hess_psi_matvec
 
-from csnewton.linops import make_dense_dictionary, make_gradient2d, make_zero_operator
+from csnewton.linops import make_dense_dictionary, make_gradient2d
 from csnewton.smoothing import (
     SmoothedObjective,
     build_D,
@@ -22,7 +22,7 @@ def hessian(obj, x):
 
 def hessian_psi(x, W, mu):
     """Hessian action of psi_mu(W* x): f with c = 1 and A = 0."""
-    zero = make_zero_operator(1, W.rows)
+    zero = make_dense_dictionary(np.zeros((1, W.rows)))
     return hessian(SmoothedObjective(c=1.0, mu=mu, A=zero, W=W, b=np.zeros(1)), x)
 
 
@@ -134,7 +134,7 @@ def test_hess_f_reduces_to_regularizer_with_zero_A():
     # against the closed-form oracle, which shares no Newton machinery
     rng = np.random.default_rng(6)
     W = make_gradient2d(3, 3)
-    A = make_zero_operator(4, 9)
+    A = make_dense_dictionary(np.zeros((4, 9)))
     obj = SmoothedObjective(c=0.7, mu=0.1, A=A, W=W, b=np.zeros(4))
     x = rng.standard_normal(9)
     v = rng.standard_normal(9)

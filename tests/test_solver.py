@@ -7,7 +7,6 @@ from csnewton.linops import (
     dense_columns,
     make_dense_dictionary,
     make_gradient2d,
-    make_zero_operator,
 )
 from csnewton.smoothing import SmoothedObjective, build_D, objective_value
 from csnewton.solver import (
@@ -79,7 +78,7 @@ def test_bhat_zero_point_identity_dictionary():
     # x = 0, g = 0, W = I (real), A = 0, c = 1: Bhat v = v / mu
     mu = 0.25
     W = make_dense_dictionary(np.eye(3))
-    A = make_zero_operator(2, 3)
+    A = make_dense_dictionary(np.zeros((2, 3)))
     obj = SmoothedObjective(c=1.0, mu=mu, A=A, W=W, b=np.zeros(2))
     state = fresh_state(obj)
     system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
@@ -125,7 +124,7 @@ def test_dual_step_fixed_point_at_central_duals():
 def test_dual_step_zero_point_identity_dictionary():
     mu = 0.2
     W = make_dense_dictionary(np.eye(3))
-    A = make_zero_operator(2, 3)
+    A = make_dense_dictionary(np.zeros((2, 3)))
     obj = SmoothedObjective(c=1.0, mu=mu, A=A, W=W, b=np.zeros(2))
     state = fresh_state(obj)
     dx = np.array([0.3, -0.1, 0.7])
