@@ -13,8 +13,6 @@ from csnewton.problems import make_itv_instance, shepp_logan
 from csnewton.smoothing import SmoothedObjective, objective_grad, objective_value
 from csnewton.solver import SolverConfig, solve_subproblem
 
-MODES = ["none", "exact_banded", "truncated_cg"]
-
 
 def with_lbfgsb_minimizer(obj):
     """``obj``, its L-BFGS-B minimizer and the minimum."""
@@ -40,23 +38,18 @@ def l1_dense_instance():
     Parseval frame, so the curvature is applied matrix-free), c = 1e-2,
     mu = 1e-3, and its L-BFGS-B minimizer (about 260 iterations)."""
     inst, _ = cli._build_problem(dict(cli._DEFAULTS, problem="l1-dense"))
+    assert inst.W.curvature_diagonals is None
     return with_lbfgsb_minimizer(SmoothedObjective(c=1e-2, mu=1e-3, A=inst.A, W=inst.W, b=inst.b))
 
 
-def assert_matches_oracle(oracle, mode):
-    obj, x_ref, f_ref = oracle
+@pytest.mark.parametrize("oracle, mode", [
+    pytest.param(oracle, mode, id=prefix + mode)
+    for oracle, prefix in [("instance", ""), ("l1_dense_instance", "l1_dense-")]
+    for mode in ["none", "exact_banded", "truncated_cg"]
+])
+def test_solver_matches_lbfgsb_oracle(request, oracle, mode):
+    obj, x_ref, f_ref = request.getfixturevalue(oracle)
     state = solve_subproblem(obj, SolverConfig(grad_tol=1e-12, precond_mode=mode))
     assert state.converged
     assert abs(objective_value(obj, state.x) - f_ref) <= 1e-10 * abs(f_ref)
     assert np.linalg.norm(state.x - x_ref) <= 1e-5 * np.linalg.norm(x_ref)
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_solver_matches_lbfgsb_oracle(instance, mode):
-    assert_matches_oracle(instance, mode)
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_solver_matches_lbfgsb_oracle_on_l1_dense(l1_dense_instance, mode):
-    assert l1_dense_instance[0].W.curvature_diagonals is None
-    assert_matches_oracle(l1_dense_instance, mode)
