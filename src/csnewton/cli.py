@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -153,6 +154,8 @@ def parse_config(path) -> Dict:
         raise ConfigError(f"unknown precond {cfg['precond']!r}")
     if cfg["continuation"] not in ("on", "off"):
         raise ConfigError("continuation must be 'on' or 'off'")
+    if not 0.0 < cfg["sampling_ratio"] <= 1.0:
+        raise ConfigError(f"sampling_ratio must lie in (0, 1], got {cfg['sampling_ratio']}")
     return cfg
 
 
@@ -252,7 +255,12 @@ def _cmd_solve(args) -> int:
         lines.append(f"relative_error = {relative_error(state.x, inst.ground_truth):.6e}")
     write_trace_csv(out_dir / "trace.csv", state.trace)
     (out_dir / "metrics.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader left (``| head -1``): keep the solve's status, and send
+        # the exit-time flush of stdout to devnull so it cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if state.converged else 2
 
 

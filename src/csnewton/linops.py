@@ -64,19 +64,21 @@ class LinearOperator:
     adjoint_apply : callable
         Maps a length-``rows`` vector to a length-``cols`` vector;
         implements the conjugate transpose of ``apply``.
+    fast_analysis_parts, fast_synth_real : callable
+        The real-channel kernels, (Re, Im) of ``adjoint_apply(v)`` for a
+        real v and Re(``apply(p + i q)``) for real p, q: the solver reaches
+        a dictionary W only through them, so W must supply both; A need not.
     curvature_diagonals : callable, optional
         ``curvature_diagonals(d1, d4, d23)`` returns ``(offsets, diags)``,
         the nonzero upper diagonals of the real symmetric S with
-        S v = synth_real(op, d1*r + d23*i, d4*i + d23*r), where
-        (r, i) = analysis_parts(op, v), when S is a stencil of a few
+        S v = fast_synth_real(d1*r + d23*i, d4*i + d23*r), where
+        (r, i) = fast_analysis_parts(v), when S is a stencil of a few
         diagonals: ``offsets`` is strictly increasing and starts at 0,
         and row k of ``diags`` holds S[j - offsets[k], j] at column j (the
         LAPACK band layout, zero for j < offsets[k]).  When present, the
-        Newton system assembles S once with :func:`stencil_matrix` and
-        applies it as one sparse product instead of an analysis and a
-        synthesis, and the exact banded preconditioner copies the
-        diagonals into its band; the 2D gradient has it, dense
-        dictionaries do not.
+        Newton system applies S as one sparse product (:func:`stencil_matrix`)
+        instead of the two kernels, and the exact banded preconditioner
+        copies the diagonals into its band; the 2D gradient has it.
     """
 
     rows: int
@@ -87,7 +89,6 @@ class LinearOperator:
     curvature_diagonals: Optional[
         Callable[[np.ndarray, np.ndarray, np.ndarray], Tuple[List[int], np.ndarray]]
     ] = field(default=None, repr=False)
-    # optional fast kernels; semantics fixed by the module helpers below
     fast_synth_real: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
         default=None, repr=False
     )
@@ -100,24 +101,6 @@ class LinearOperator:
             raise ValueError("operator dimensions must be positive")
         if self.field not in ("real", "complex"):
             raise ValueError("field must be 'real' or 'complex'")
-
-
-def synth_real(op: LinearOperator, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Re( op.apply(p + i q) ) for real p, q, using a fast kernel if present."""
-    if op.fast_synth_real is not None:
-        return op.fast_synth_real(p, q)
-    out = op.apply(p + 1j * q)
-    return np.real(out) if np.iscomplexobj(out) else out
-
-
-def analysis_parts(op: LinearOperator, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(Re, Im) of op.adjoint_apply(v) for real v, via a fast kernel if present."""
-    if op.fast_analysis_parts is not None:
-        return op.fast_analysis_parts(v)
-    u = op.adjoint_apply(v)
-    if np.iscomplexobj(u):
-        return np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag)
-    return u, np.zeros_like(u)
 
 
 @dataclass(frozen=True)
@@ -344,19 +327,33 @@ def make_partial_dct2(n1: int, n2: int, mask: SamplingMask) -> LinearOperator:
 
 
 def make_dense_dictionary(entries: np.ndarray, field: str = "real") -> LinearOperator:
-    """Wrap an explicit matrix; used for small oracles and unit tests."""
+    """Wrap an explicit matrix: the CLI's l1-dense frame, oracles and unit tests."""
     mat = np.asarray(entries, dtype=np.complex128 if field == "complex" else np.float64)
     if mat.ndim != 2:
         raise ValueError("entries must be a 2D array")
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
         raise ValueError("entries must be finite")
     rows, cols = mat.shape
+    adj = mat.conj().T
+
+    def analysis_parts(v):
+        u = adj @ v
+        if field == "real":
+            return u, np.zeros(cols)
+        return np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag)
+
+    def synth_real(p, q):
+        # a real matrix has no imaginary channel: Re(W (p + i q)) = W p
+        return mat @ p if field == "real" else np.real(mat @ (p + 1j * q))
+
     return LinearOperator(
         rows=rows,
         cols=cols,
         field=field,
         apply=lambda z: mat @ z,
-        adjoint_apply=lambda x: mat.conj().T @ x,
+        adjoint_apply=lambda x: adj @ x,
+        fast_synth_real=synth_real,
+        fast_analysis_parts=analysis_parts,
     )
 
 

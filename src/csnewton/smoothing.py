@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import LinearOperator, synth_real
+from .linops import LinearOperator
 
 __all__ = [
     "SmoothedObjective",
@@ -45,6 +45,8 @@ class SmoothedObjective:
             raise ValueError("regularization weight c must be positive")
         if self.mu <= 0:
             raise ValueError("smoothing parameter mu must be positive")
+        if self.W.fast_analysis_parts is None or self.W.fast_synth_real is None:
+            raise ValueError("dictionary W must supply fast_analysis_parts and fast_synth_real")
         if self.A.cols != self.W.rows:
             raise ValueError(
                 f"A acts on length {self.A.cols} but W has {self.W.rows} rows"
@@ -79,10 +81,7 @@ def grad_psi(x: np.ndarray, W: LinearOperator, mu: float) -> np.ndarray:
     """Gradient of the smoothed analysis term at x, always a real vector."""
     y = W.adjoint_apply(x)
     d = build_D(y, mu)
-    if np.iscomplexobj(y):
-        return synth_real(W, d * y.real, d * y.imag)
-    g = W.apply(d * y)
-    return np.real(g) if np.iscomplexobj(g) else g
+    return W.fast_synth_real(d * y.real, d * y.imag)
 
 
 def objective_value(obj: SmoothedObjective, x: np.ndarray) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import smoothing
 from .krylov import NonFiniteError, pcg_solve
-from .linops import analysis_parts, stencil_matrix, synth_real
+from .linops import stencil_matrix
 from .precond import build_for_system
 from .smoothing import SmoothedObjective, build_D, huber_value
 
@@ -180,8 +180,8 @@ class NewtonSystem:
     When the dictionary has a ``curvature_diagonals`` kernel (the 2D
     gradient), sym(Bt) is assembled once, as a sparse 7-diagonal stencil,
     and each curvature action is one sparse product.  Other dictionaries
-    (dense ones) apply it matrix-free, as an analysis, a diagonal
-    scaling and a synthesis; assembling their S would cost O(n^2 l).
+    (dense ones) apply it through their two channel kernels and a
+    diagonal scaling; assembling their S would cost O(n^2 l).
     """
 
     def __init__(self, obj: SmoothedObjective, x: np.ndarray, g_re: np.ndarray, g_im: np.ndarray):
@@ -193,14 +193,13 @@ class NewtonSystem:
         self.y = W.adjoint_apply(x)
         self.d = build_D(self.y, obj.mu)
         self.rx = np.real(self.y)
-        self.ix = np.imag(self.y) if np.iscomplexobj(self.y) else np.zeros_like(self.rx)
+        self.ix = np.imag(self.y)
         self.b2 = self.d * self.g_re * self.ix
         self.b3 = self.d * self.g_im * self.rx
         # diagonals of the symmetric part: D(I-B1), D(I-B4), -D(B2+B3)/2
         self.d1 = self.d * (1.0 - self.d * self.g_re * self.rx)
         self.d4 = self.d * (1.0 - self.d * self.g_im * self.ix)
         self.d23 = -0.5 * self.d * (self.b2 + self.b3)
-        self._real_w = W.field == "real"
         # upper diagonals (offsets, diags) of sym(Bt), with a stencil kernel only
         self.stencil = None
         self._symb = None
@@ -221,12 +220,8 @@ class NewtonSystem:
         if self._symb is not None:
             return self._symb @ v
         W = self.obj.W
-        rv, iv = analysis_parts(W, v)
-        if self._real_w:
-            return np.real(W.apply(self.d1 * rv))
-        p = self.d1 * rv + self.d23 * iv
-        q = self.d4 * iv + self.d23 * rv
-        return synth_real(W, p, q)
+        rv, iv = W.fast_analysis_parts(v)
+        return W.fast_synth_real(self.d1 * rv + self.d23 * iv, self.d4 * iv + self.d23 * rv)
 
     def bhat_matvec(self, v: np.ndarray) -> np.ndarray:
         A = self.obj.A
@@ -234,7 +229,7 @@ class NewtonSystem:
 
     def dual_step(self, dx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Affine dual increments for a given primal direction."""
-        rdx, idx = analysis_parts(self.obj.W, dx)
+        rdx, idx = self.obj.W.fast_analysis_parts(dx)
         d = self.d
         dg_re = self.d1 * rdx - d * self.b2 * idx - self.g_re + d * self.rx
         dg_im = self.d4 * idx - d * self.b3 * rdx - self.g_im + d * self.ix

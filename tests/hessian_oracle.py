@@ -13,7 +13,7 @@ real the imaginary channel drops analytically and H = W (mu^2 D^3) W^T.
 
 import numpy as np
 
-from csnewton.linops import LinearOperator, synth_real
+from csnewton.linops import LinearOperator
 from csnewton.smoothing import SmoothedObjective, build_D
 
 
@@ -27,7 +27,7 @@ def hess_psi_matvec(x: np.ndarray, v: np.ndarray, W: LinearOperator, mu: float) 
     yhat = (mu * mu) * d**3 + d
     ytil = -(y * y) * d**3
     z = yhat * u + ytil * np.conj(u)
-    return 0.5 * synth_real(W, np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag))
+    return 0.5 * W.fast_synth_real(np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag))
 
 
 def hess_f_matvec(obj: SmoothedObjective, x: np.ndarray, v: np.ndarray) -> np.ndarray:

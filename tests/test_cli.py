@@ -1,5 +1,9 @@
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,14 +250,52 @@ def test_solve_passes_the_keys_it_sets_to_the_solver(tmp_path, monkeypatch):
     assert config.eta == SolverConfig().eta
 
 
+L1_DENSE_CONFIG = ("problem = l1-dense\nsize = 32\nsampling_ratio = 0.5\n"
+                   "c = 1e-1\nmu = 1e-2\nseed = 3\nmax_outer = 60\n")
+
+
 def test_solve_l1_dense_problem(tmp_path):
     cfg = tmp_path / "l1.cfg"
-    cfg.write_text("problem = l1-dense\nsize = 32\nsampling_ratio = 0.5\n"
-                   "c = 1e-1\nmu = 1e-2\nseed = 3\nmax_outer = 60\n")
+    cfg.write_text(L1_DENSE_CONFIG)
     out_dir = tmp_path / "out"
     assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
     assert "relative_error" in (out_dir / "metrics.txt").read_text()
     assert not (out_dir / "reconstruction.pgm").exists()
+
+
+def test_solve_keeps_its_status_when_the_reader_left(tmp_path):
+    # `csnewton solve ... | head -1`: stdout's reader is gone before the
+    # metrics are written; the converged solve still exits 0, quietly
+    cfg = tmp_path / "l1.cfg"
+    cfg.write_text(L1_DENSE_CONFIG)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "csnewton.cli", "solve", "--config", str(cfg),
+             "--out-dir", str(tmp_path / "out")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+    assert "converged = True" in (tmp_path / "out" / "metrics.txt").read_text()
+
+
+@pytest.mark.parametrize("problem", ["itv", "l1-dense"])
+@pytest.mark.parametrize("ratio", ["0", "1.5", "nan"])
+def test_solve_rejects_sampling_ratio_outside_unit_interval(tmp_path, capsys, problem, ratio):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"problem = {problem}\nsize = 16\nsampling_ratio = {ratio}\n")
+    with pytest.raises(cli.ConfigError, match="sampling_ratio must lie in"):
+        cli.parse_config(cfg)
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "sampling_ratio must lie in (0, 1]" in err and "solve aborted" not in err
+    assert not (tmp_path / "o" / "trace.csv").exists()
 
 
 def test_solve_rejects_nonpositive_max_outer(tmp_path, capsys):

@@ -6,7 +6,6 @@ from scipy.fft import dctn, idctn
 from csnewton.linops import (
     DCT_MATMUL_BELOW,
     _dct_matrix,
-    analysis_parts,
     LinearOperator,
     SamplingMask,
     dense_columns,
@@ -16,7 +15,6 @@ from csnewton.linops import (
     make_mask,
     make_partial_dct2,
     stencil_matrix,
-    synth_real,
 )
 
 
@@ -118,8 +116,8 @@ def test_gradient2d_stencil_matches_analysis_synthesis(n1, n2):
     assert offsets == sorted(set(offsets)) and offsets[0] == 0  # n1 = 2 merges 1 and n1-1
     stencil = stencil_matrix(offsets, diags)
     for v in rng.standard_normal((3, n)):
-        r, i = analysis_parts(W, v)
-        ref = synth_real(W, d1 * r + d23 * i, d4 * i + d23 * r)
+        r, i = W.fast_analysis_parts(v)
+        ref = W.fast_synth_real(d1 * r + d23 * i, d4 * i + d23 * r)
         assert np.linalg.norm(stencil @ v - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
@@ -289,6 +287,35 @@ def test_dense_dictionary_random_adjoint():
 def test_dense_dictionary_rejects_nonfinite():
     with pytest.raises(ValueError):
         make_dense_dictionary(np.array([[1.0, np.inf]]))
+
+
+CHANNEL_DICTIONARIES = {
+    "grad2x5": lambda rng: make_gradient2d(2, 5),
+    "grad6x4": lambda rng: make_gradient2d(6, 4),
+    "dense_real": lambda rng: make_dense_dictionary(rng.standard_normal((6, 10))),
+    "dense_complex": lambda rng: make_dense_dictionary(
+        rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10)), field="complex"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHANNEL_DICTIONARIES))
+def test_channel_kernels_are_the_real_channels(kind):
+    # fast_analysis_parts(v) = (Re, Im) of adjoint_apply(v) and
+    # fast_synth_real(p, q) = Re(apply(p + i q)), for every dictionary
+    rng = np.random.default_rng(21)
+    W = CHANNEL_DICTIONARIES[kind](rng)
+    for _ in range(3):
+        v = rng.standard_normal(W.rows)
+        p, q = rng.standard_normal(W.cols), rng.standard_normal(W.cols)
+        u = W.adjoint_apply(v)
+        r, i = W.fast_analysis_parts(v)
+        assert r.dtype == i.dtype == np.float64
+        np.testing.assert_allclose(r, np.real(u), rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(i, np.imag(u), rtol=1e-14, atol=1e-14)
+        s = W.fast_synth_real(p, q)
+        assert s.dtype == np.float64
+        np.testing.assert_allclose(s, np.real(W.apply(p + 1j * q)), rtol=1e-13, atol=1e-13)
 
 
 def test_estimate_delta_scaled_identity():

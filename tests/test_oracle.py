@@ -33,6 +33,14 @@ def instance():
 
 
 @pytest.fixture(scope="module")
+def small_mu_instance():
+    """The same phantom instance at the benchmark's final mu = 1e-5, where
+    the smoothing is nearly l1 (L-BFGS-B takes about 5900 iterations)."""
+    inst = make_itv_instance(shepp_logan(16, 16), 0.25, math.inf, 0)
+    return with_lbfgsb_minimizer(SmoothedObjective(c=1e-2, mu=1e-5, A=inst.A, W=inst.W, b=inst.b))
+
+
+@pytest.fixture(scope="module")
 def l1_dense_instance():
     """The CLI's l1-dense instance at its defaults (n = 64, seed 0: a dense
     Parseval frame, so the curvature is applied matrix-free), c = 1e-2,
@@ -44,7 +52,8 @@ def l1_dense_instance():
 
 @pytest.mark.parametrize("oracle, mode", [
     pytest.param(oracle, mode, id=prefix + mode)
-    for oracle, prefix in [("instance", ""), ("l1_dense_instance", "l1_dense-")]
+    for oracle, prefix in [("instance", ""), ("small_mu_instance", "mu1e-5-"),
+                           ("l1_dense_instance", "l1_dense-")]
     for mode in ["none", "exact_banded", "truncated_cg"]
 ])
 def test_solver_matches_lbfgsb_oracle(request, oracle, mode):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hessian_oracle import hess_psi_matvec
@@ -110,6 +112,18 @@ def test_objective_dimension_validation():
         SmoothedObjective(c=1.0, mu=1.0, A=A, W=W, b=np.zeros(5))
     with pytest.raises(ValueError):
         SmoothedObjective(c=1.0, mu=1.0, A=W, W=A, b=np.zeros(3))
+
+
+def test_objective_rejects_dictionary_without_kernels():
+    # the smoothed term and the Newton system reach W only through its
+    # channel kernels; the measurement operator A need not have them
+    A = make_dense_dictionary(np.ones((2, 3)))
+    W = make_dense_dictionary(np.ones((3, 4)))
+    for kernel in ("fast_analysis_parts", "fast_synth_real"):
+        with pytest.raises(ValueError, match="fast_analysis_parts and fast_synth_real"):
+            SmoothedObjective(c=1.0, mu=1.0, A=A, W=replace(W, **{kernel: None}), b=np.zeros(2))
+    bare = replace(A, fast_analysis_parts=None, fast_synth_real=None)
+    SmoothedObjective(c=1.0, mu=1.0, A=bare, W=W, b=np.zeros(2))
 
 
 def test_objective_zero_data_minimized_at_zero():
