@@ -6,7 +6,9 @@ Subcommands:
   spectrum  dense eigenvalue export for the Newton systems of a solve
   check     run the built-in verification suites
 
-Exit codes: 0 success, 1 failed checks, 2 bad usage or aborted solve.
+Exit codes: 0 success, 1 failed checks, 2 bad usage (a bad config or
+argument, an unreadable input or an unwritable output) or a solve that
+aborted or did not converge; an error is one ``error:`` line on stderr.
 Images are binary PGM (P5), 8- or 16-bit on read and 8-bit on write, where
 internal [0, 1] values are quantized with round(255*v).
 """
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import diagnostics
 from .continuation import make_schedule, run_continuation
-from .linops import make_dense_dictionary, make_gradient2d
+from .linops import make_dense_dictionary
 from .precond import spectrum_report
 from .problems import ProblemInstance, make_itv_instance, psnr, relative_error, shepp_logan
 from .smoothing import SmoothedObjective
@@ -133,6 +135,10 @@ class ConfigError(ValueError):
     pass
 
 
+class SolveAborted(Exception):
+    """The solver raised; the message names its error."""
+
+
 def parse_config(path) -> Dict:
     cfg = dict(_DEFAULTS)
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -159,15 +165,10 @@ def parse_config(path) -> Dict:
     return cfg
 
 
-def _load_image(cfg) -> np.ndarray:
-    if cfg["image"] == "phantom":
-        return shepp_logan(cfg["size"], cfg["size"])
-    return read_pgm(cfg["image"])
-
-
 def _build_problem(cfg):
     if cfg["problem"] == "itv":
-        image = _load_image(cfg)
+        phantom = cfg["image"] == "phantom"
+        image = shepp_logan(cfg["size"], cfg["size"]) if phantom else read_pgm(cfg["image"])
         inst = make_itv_instance(image, cfg["sampling_ratio"], cfg["target_psnr"], cfg["seed"])
         return inst, image
     # l1-dense: a random Parseval frame W (n x 2n, W W* = I) and a Gaussian signal,
@@ -185,26 +186,22 @@ def _build_problem(cfg):
     return inst, None
 
 
-def _solver_config(cfg, snapshot_every: int = 0) -> SolverConfig:
-    return SolverConfig(
-        precond_mode=_PRECOND_MODES[cfg["precond"]],
-        snapshot_every=snapshot_every,
-        **{key: cfg[key] for key in _SOLVER_KEYS if key in cfg},
-    )
-
-
 def _run_solve(cfg, inst: ProblemInstance, snapshot_every: int = 0) -> tuple:
-    """Solve the built problem; returns the final state and the wall time."""
-    config = _solver_config(cfg, snapshot_every)
+    """Solve the built problem; returns the final state and the wall time.
+    A bad setting raises ValueError, and any error of the solve SolveAborted."""
+    config = SolverConfig(precond_mode=_PRECOND_MODES[cfg["precond"]],
+                          snapshot_every=snapshot_every,
+                          **{key: cfg[key] for key in _SOLVER_KEYS if key in cfg})
     obj = SmoothedObjective(c=cfg["c"], mu=cfg["mu"], A=inst.A, W=inst.W, b=inst.b)
     t0 = time.perf_counter()
-    if cfg["continuation"] == "on":
-        schedule = make_schedule(cfg["c"], cfg["mu"])
-        state = run_continuation(obj, config, schedule)
-    else:
-        state = solve_subproblem(obj, config)
-    elapsed = time.perf_counter() - t0
-    return state, elapsed
+    try:
+        if cfg["continuation"] == "on":
+            state = run_continuation(obj, config, make_schedule(cfg["c"], cfg["mu"]))
+        else:
+            state = solve_subproblem(obj, config)
+    except Exception as exc:
+        raise SolveAborted(f"solve aborted: {exc}") from exc
+    return state, time.perf_counter() - t0
 
 
 def write_trace_csv(path, trace) -> None:
@@ -220,29 +217,28 @@ def write_trace_csv(path, trace) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _say(text: str) -> None:
+    """Print to stdout.  Once its reader has left (``| head -1``), stdout
+    points at devnull and the command carries on to its own status."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _cmd_phantom(args) -> int:
-    if args.size < 16:
-        print(f"error: size must be >= 16, got {args.size}", file=sys.stderr)
-        return 2
     write_pgm(args.out, shepp_logan(args.size, args.size))
     return 0
 
 
 def _cmd_solve(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    cfg = parse_config(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        inst, image = _build_problem(cfg)
-        state, elapsed = _run_solve(cfg, inst)
-    except Exception as exc:  # solver aborts surface as exit 2
-        print(f"error: solve aborted: {exc}", file=sys.stderr)
-        return 2
+    inst, image = _build_problem(cfg)
+    state, elapsed = _run_solve(cfg, inst)
 
     lines = [f"converged = {state.converged}", f"wall_time_s = {elapsed:.3f}",
              f"total_matvecs = {state.counters.total_matvecs()}"]
@@ -255,39 +251,20 @@ def _cmd_solve(args) -> int:
         lines.append(f"relative_error = {relative_error(state.x, inst.ground_truth):.6e}")
     write_trace_csv(out_dir / "trace.csv", state.trace)
     (out_dir / "metrics.txt").write_text("\n".join(lines) + "\n")
-    try:
-        print("\n".join(lines), flush=True)
-    except BrokenPipeError:
-        # the reader left (``| head -1``): keep the solve's status, and send
-        # the exit-time flush of stdout to devnull so it cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    _say("\n".join(lines))
     return 0 if state.converged else 2
 
 
 def _cmd_spectrum(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = parse_config(args.config)
     if args.every < 1:
-        print(f"error: --every must be >= 1, got {args.every}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--every must be >= 1, got {args.every}")
     nu = args.nu if args.nu is not None else 0.5 / cfg["mu"]
-    try:
-        inst, _ = _build_problem(cfg)
-    except (OSError, ValueError) as exc:  # an image that cannot be read
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst, _ = _build_problem(cfg)
     # the size of the problem actually built: a PGM image sets its own
     if inst.A.cols > 4096:
-        print(f"error: spectrum needs n <= 4096, got {inst.A.cols}", file=sys.stderr)
-        return 2
-    try:
-        state, _ = _run_solve(cfg, inst, snapshot_every=args.every)
-    except Exception as exc:
-        print(f"error: solve aborted: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"spectrum needs n <= 4096, got {inst.A.cols}")
+    state, _ = _run_solve(cfg, inst, snapshot_every=args.every)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -303,7 +280,7 @@ def _cmd_spectrum(args) -> int:
                      rep.sigma, f"{rep.delta:.6e}", f"{rep.chi:.6e}",
                      f"{rep.bound:.6e}", f"{rep.bound_kernel:.6e}", f"{kres:.6e}"]
                 )
-    print(f"wrote spectra of {len(state.snapshots)} systems to {args.out}")
+    _say(f"wrote spectra of {len(state.snapshots)} systems to {args.out}")
     return 0
 
 
@@ -319,7 +296,7 @@ def _cmd_check(args) -> int:
     def emit(name: str, ok: bool, detail: str = ""):
         nonlocal failures
         failures += 0 if ok else 1
-        print(f"{'PASS' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}")
+        _say(f"{'PASS' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}")
 
     suites = ("derivatives", "invariants", "rate") if args.suite == "all" else (args.suite,)
 
@@ -343,11 +320,15 @@ def _cmd_check(args) -> int:
     if "rate" in suites:
         config = SolverConfig(grad_tol=1e-10, max_outer=80, eta_schedule="decreasing",
                               precond_mode="exact_banded")
-        state = solve_subproblem(obj, config)
-        ratios = diagnostics.rate_probe(state.trace)
-        tail = ratios[-3:]
-        ok = len(tail) == 3 and all(b < a for a, b in zip(tail, tail[1:])) and tail[-1] < 0.1
-        emit("rate/superlinear_tail", ok, f"last ratios {[f'{r:.3e}' for r in tail]}")
+        traces = {"superlinear_tail": solve_subproblem(obj, config).trace}
+        # the 32x32 phantom at the solve command's defaults, both instance seeds
+        for seed in (0, 1):
+            cfg = dict(_DEFAULTS, size=32, seed=seed)
+            traces[f"phantom32_seed{seed}"] = _run_solve(cfg, _build_problem(cfg)[0])[0].trace
+        for name, trace in traces.items():
+            tail = diagnostics.rate_probe(trace)[-3:]
+            ok = len(tail) == 3 and all(b < a for a, b in zip(tail, tail[1:])) and tail[-1] < 0.1
+            emit(f"rate/{name}", ok, f"last ratios {[f'{r:.3e}' for r in tail]}")
 
     return 0 if failures == 0 else 1
 
@@ -382,7 +363,12 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, SolveAborted) as exc:
+        # bad config or argument, unreadable input, unwritable output, or a solve that raised
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

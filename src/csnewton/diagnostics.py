@@ -28,6 +28,8 @@ GRAD_TOL = 1.0e-6
 HESS_TOL = 1.0e-5
 # slack of the dual box |g|_inf <= 1
 BOX_TOL = 1.0e-12
+# record fields the checks compare; NaN compares false, so each must be finite
+FINITE_FIELDS = ("f", "f_in", "dual_box", "pcg_residual")
 
 
 @dataclass
@@ -99,7 +101,8 @@ def check_solver_invariants(trace: Sequence[IterationRecord]) -> InvariantReport
 
     The objective must not rise between consecutive records of a stage,
     nor across any accepted step, f against the ``f_in`` it started
-    from; the second check also covers stages of a single step."""
+    from; the second check also covers stages of a single step.  A
+    record whose compared fields are not all finite is a violation too."""
     def raised(f_old: float, f_new: float) -> bool:
         return f_new > f_old + 1e-12 * max(1.0, abs(f_old))
 
@@ -107,6 +110,9 @@ def check_solver_invariants(trace: Sequence[IterationRecord]) -> InvariantReport
     prev_f = {}
     for rec in trace:
         tag = f"stage {rec.stage} iter {rec.outer_iter}"
+        nonfinite = [name for name in FINITE_FIELDS if not np.isfinite(getattr(rec, name))]
+        if nonfinite:
+            report.violations.append(f"{tag}: non-finite {', '.join(nonfinite)}")
         if rec.stage in prev_f and raised(prev_f[rec.stage], rec.f):
             report.violations.append(f"{tag}: objective increased {prev_f[rec.stage]} -> {rec.f}")
         prev_f[rec.stage] = rec.f

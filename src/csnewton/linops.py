@@ -66,8 +66,11 @@ class LinearOperator:
         implements the conjugate transpose of ``apply``.
     fast_analysis_parts, fast_synth_real : callable
         The real-channel kernels, (Re, Im) of ``adjoint_apply(v)`` for a
-        real v and Re(``apply(p + i q)``) for real p, q: the solver reaches
-        a dictionary W only through them, so W must supply both; A need not.
+        real v and Re(``apply(p + i q)``) for real p, q.  A dictionary W
+        must supply both, A need not: the smoothed gradient's synthesis,
+        the dual step and the curvature action without a stencil use them.
+        The analysis W* x of a real x, in the objective, its gradient, the
+        line search and the Newton system, is ``adjoint_apply`` itself.
     curvature_diagonals : callable, optional
         ``curvature_diagonals(d1, d4, d23)`` returns ``(offsets, diags)``,
         the nonzero upper diagonals of the real symmetric S with
@@ -158,9 +161,7 @@ def _grad2d_analysis(x: np.ndarray, n1: int, n2: int) -> np.ndarray:
     vertical -> imaginary, zero at the trailing column/row."""
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        hr, vr = _grad2d_channels(x.real, n1, n2)
-        hi, vi = _grad2d_channels(x.imag, n1, n2)
-        return (hr - vi) + 1j * (hi + vr)
+        raise ValueError("the 2D gradient acts on real images, got a complex vector")
     h, v = _grad2d_channels(x, n1, n2)
     out = np.empty(n1 * n2, dtype=np.complex128)
     out.real = h
@@ -229,9 +230,10 @@ def stencil_matrix(offsets, diags: np.ndarray) -> dia_array:
 def make_gradient2d(n1: int, n2: int) -> LinearOperator:
     """Complex 2D discrete-gradient dictionary for an n1 x n2 image.
 
-    ``adjoint_apply`` computes the analysis map (the gradient itself);
-    ``apply`` is the synthesis map.  The dense analysis matrix is square,
-    complex and has rank n1*n2 - 1 (constants are in its kernel).
+    ``adjoint_apply`` computes the analysis map (the gradient itself) of a
+    real image and raises ValueError on a complex one; ``apply`` is the
+    synthesis map.  The dense analysis matrix is square, complex and has
+    rank n1*n2 - 1 (constants are in its kernel).
     """
     if n1 < 2 or n2 < 2:
         raise ValueError("gradient2d needs both image dimensions >= 2")

@@ -97,8 +97,15 @@ def test_phantom_command(tmp_path):
     assert raw == out2.read_bytes()
 
 
-def test_phantom_rejects_bad_size(tmp_path):
+def test_phantom_rejects_bad_size(tmp_path, capsys):
     assert run_cli(["phantom", "--size", "4", "--out", str(tmp_path / "x.pgm")]) == 2
+    assert_one_error_line(capsys.readouterr().err, "at least 16 pixels")
+
+
+def test_phantom_rejects_missing_out_dir(tmp_path, capsys):
+    out = tmp_path / "missing" / "p.pgm"
+    assert run_cli(["phantom", "--size", "16", "--out", str(out)]) == 2
+    assert_one_error_line(capsys.readouterr().err, "missing")
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +270,27 @@ def test_solve_l1_dense_problem(tmp_path):
     assert not (out_dir / "reconstruction.pgm").exists()
 
 
-def test_solve_keeps_its_status_when_the_reader_left(tmp_path):
-    # `csnewton solve ... | head -1`: stdout's reader is gone before the
-    # metrics are written; the converged solve still exits 0, quietly
-    cfg = tmp_path / "l1.cfg"
-    cfg.write_text(L1_DENSE_CONFIG)
+def run_with_reader_gone(args):
+    """Run ``python args`` on the sources with stdout's read end already
+    closed, as in ``csnewton ... | head -1`` once head has left."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "csnewton.cli", "solve", "--config", str(cfg),
-             "--out-dir", str(tmp_path / "out")],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
-        )
+        return subprocess.run([sys.executable, *args], stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=300)
     finally:
         os.close(write_end)
+
+
+def test_solve_keeps_its_status_when_the_reader_left(tmp_path):
+    # `csnewton solve ... | head -1`: stdout's reader is gone before the
+    # metrics are written; the converged solve still exits 0, quietly
+    cfg = tmp_path / "l1.cfg"
+    cfg.write_text(L1_DENSE_CONFIG)
+    proc = run_with_reader_gone(["-m", "csnewton.cli", "solve", "--config", str(cfg),
+                                 "--out-dir", str(tmp_path / "out")])
     assert proc.returncode == 0, proc.stderr.decode()
     assert b"Traceback" not in proc.stderr
     assert "converged = True" in (tmp_path / "out" / "metrics.txt").read_text()
@@ -308,6 +319,37 @@ def test_solve_rejects_nonpositive_max_outer(tmp_path, capsys):
 def test_solve_missing_config(tmp_path):
     assert run_cli(["solve", "--config", str(tmp_path / "absent.cfg"),
                     "--out-dir", str(tmp_path)]) == 2
+
+
+def assert_one_error_line(err: str, *fragments: str):
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err and "solve aborted" not in err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+def test_solve_rejects_out_dir_that_is_a_file(tmp_path, capsys):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(SOLVE_CONFIG)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(taken)]) == 2
+    assert_one_error_line(capsys.readouterr().err, "taken")
+
+
+def test_solve_aborts_when_the_solver_raises(tmp_path, capsys, monkeypatch):
+    # a config error never says "solve aborted" (above); a solver failure
+    # always does, with the solver's own message
+    def broken(obj, config, schedule):
+        raise FloatingPointError("non-finite PCG residual")
+
+    monkeypatch.setattr(cli, "run_continuation", broken)
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(SOLVE_CONFIG)
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: solve aborted: non-finite PCG residual\n"
+    assert not (tmp_path / "o" / "trace.csv").exists()
 
 
 def test_continuation_off_matches_on_at_tight_tolerance(tmp_path):
@@ -376,6 +418,25 @@ def test_spectrum_rejects_every_below_one(tmp_path, capsys, every):
     assert not out.exists()
 
 
+def test_spectrum_rejects_missing_out_dir(tmp_path, capsys):
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SOLVE_CONFIG)
+    out = tmp_path / "missing" / "s.csv"
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out), "--every", "50"]) == 2
+    assert_one_error_line(capsys.readouterr().err, "missing")
+
+
+def test_spectrum_keeps_its_status_when_the_reader_left(tmp_path):
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SOLVE_CONFIG)
+    out = tmp_path / "s.csv"
+    proc = run_with_reader_gone(["-m", "csnewton.cli", "spectrum", "--config", str(cfg),
+                                 "--out", str(out), "--every", "50"])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert out.read_text().startswith("system,stage,iter,index")
+
+
 def test_spectrum_rejects_large_problem(tmp_path, capsys):
     # n comes from the problem built: a 65x65 PGM is too large even though
     # the config's size (16) is not
@@ -402,6 +463,8 @@ def test_check_all_passes(capsys):
     assert "PASS derivatives/gradient" in out
     assert "PASS invariants/invariants" in out
     assert "PASS rate/superlinear_tail" in out
+    # the 32x32 phantom at the solve defaults, at both instance seeds
+    assert "PASS rate/phantom32_seed0" in out and "PASS rate/phantom32_seed1" in out
     assert "FAIL" not in out
 
 
@@ -423,3 +486,30 @@ def test_check_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as err:
         run_cli(["check", "--suite", "nonsense"])
     assert err.value.code == 2
+
+
+def test_check_runs_every_suite_when_the_reader_left():
+    # `csnewton check --suite all | head -1`: the first line goes out, the
+    # reader leaves, and the other suites still run to the real status
+    proc = run_with_reader_gone(["-m", "csnewton.cli", "check", "--suite", "all"])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+
+
+def test_check_reports_failure_when_the_reader_left():
+    script = """
+import sys
+from csnewton import cli, diagnostics
+from csnewton.diagnostics import InvariantReport
+
+def corrupted(trace):
+    rep = InvariantReport(checked_records=len(trace))
+    rep.violations.append("stage 0 iter 1: dual box violated, |g|_inf = 1.5")
+    return rep
+
+diagnostics.check_solver_invariants = corrupted
+sys.exit(cli.main(["check", "--suite", "all"]))
+"""
+    proc = run_with_reader_gone(["-c", script])
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr

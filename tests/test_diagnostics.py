@@ -104,6 +104,18 @@ def test_invariant_checker_flags_pcg_residual():
     assert check_solver_invariants([record(resid=0.1, gnorm_in=1.0)]).passed
 
 
+def test_invariant_checker_flags_non_finite_records():
+    # every check is a `>` comparison, which NaN fails; the checker names
+    # the fields that are not finite
+    nan = float("nan")
+    trace = [record(it=1), record(it=2, f=nan, f_in=1.0, box=nan, resid=nan), record(it=3)]
+    rep = check_solver_invariants(trace)
+    assert not rep.passed
+    assert rep.violations == ["stage 0 iter 2: non-finite f, dual_box, pcg_residual"]
+    rep = check_solver_invariants([record(f_in=math.inf)])
+    assert rep.violations == ["stage 0 iter 1: non-finite f_in"]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("mode", ["none", "truncated_cg", "exact_banded"])
 def test_continuation_passes_the_invariants_in_every_mode(mode, seed, monkeypatch):

@@ -67,6 +67,13 @@ def test_gradient2d_constant_image_maps_to_zero():
     assert np.all(W.adjoint_apply(x) == 0)
 
 
+def test_gradient2d_rejects_complex_images():
+    # the gradient acts on real images; the solver never analyses a complex one
+    W = make_gradient2d(3, 4)
+    with pytest.raises(ValueError, match="real images"):
+        W.adjoint_apply(np.ones(12, dtype=np.complex128))
+
+
 def test_gradient2d_2x2_stencil():
     # columns of the image: [a, b] and [c, d]; column-stacked x = [a, b, c, d]
     a, b, c, d = 1.0, 2.0, 4.0, 8.0
