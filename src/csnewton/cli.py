@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -139,7 +140,9 @@ class SolveAborted(Exception):
     """The solver raised; the message names its error."""
 
 
-def parse_config(path) -> Dict:
+def parse_config(path) -> Tuple[Dict, SolverConfig]:
+    """The problem settings, and the solver's as a ``SolverConfig``, so that
+    a bad solver setting raises before a command creates or opens a file."""
     cfg = dict(_DEFAULTS)
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -162,7 +165,11 @@ def parse_config(path) -> Dict:
         raise ConfigError("continuation must be 'on' or 'off'")
     if not 0.0 < cfg["sampling_ratio"] <= 1.0:
         raise ConfigError(f"sampling_ratio must lie in (0, 1], got {cfg['sampling_ratio']}")
-    return cfg
+    if not (cfg["c"] > 0.0 and cfg["mu"] > 0.0):
+        raise ConfigError(f"c and mu must be positive, got c = {cfg['c']}, mu = {cfg['mu']}")
+    config = SolverConfig(precond_mode=_PRECOND_MODES[cfg["precond"]],
+                          **{key: cfg[key] for key in _SOLVER_KEYS if key in cfg})
+    return cfg, config
 
 
 def _build_problem(cfg):
@@ -186,12 +193,9 @@ def _build_problem(cfg):
     return inst, None
 
 
-def _run_solve(cfg, inst: ProblemInstance, snapshot_every: int = 0) -> tuple:
+def _run_solve(cfg, inst: ProblemInstance, config: SolverConfig) -> tuple:
     """Solve the built problem; returns the final state and the wall time.
-    A bad setting raises ValueError, and any error of the solve SolveAborted."""
-    config = SolverConfig(precond_mode=_PRECOND_MODES[cfg["precond"]],
-                          snapshot_every=snapshot_every,
-                          **{key: cfg[key] for key in _SOLVER_KEYS if key in cfg})
+    Any error of the solve raises SolveAborted."""
     obj = SmoothedObjective(c=cfg["c"], mu=cfg["mu"], A=inst.A, W=inst.W, b=inst.b)
     t0 = time.perf_counter()
     try:
@@ -234,11 +238,11 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = parse_config(args.config)
+    cfg, config = parse_config(args.config)
+    inst, image = _build_problem(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    inst, image = _build_problem(cfg)
-    state, elapsed = _run_solve(cfg, inst)
+    state, elapsed = _run_solve(cfg, inst, config)
 
     lines = [f"converged = {state.converged}", f"wall_time_s = {elapsed:.3f}",
              f"total_matvecs = {state.counters.total_matvecs()}"]
@@ -249,6 +253,16 @@ def _cmd_solve(args) -> int:
         lines.append(f"relative_error = {relative_error(recon.ravel(), inst.ground_truth.ravel()):.6e}")
     elif inst.ground_truth is not None:
         lines.append(f"relative_error = {relative_error(state.x, inst.ground_truth):.6e}")
+    # one line per continuation stage that took a step, from the trace
+    for stage, recs in itertools.groupby(state.trace, key=lambda rec: rec.stage):
+        recs = list(recs)
+        lines.append(f"stage {stage} = precond {recs[0].precond_mode}, outer {len(recs)}, "
+                     f"pcg {sum(rec.pcg_iters for rec in recs)}, "
+                     f"capped {sum(not rec.pcg_converged for rec in recs)}, "
+                     f"rejected {sum(not rec.accepted for rec in recs)}")
+    invariants = diagnostics.check_solver_invariants(state.trace)
+    lines.append(f"invariants = {'pass' if invariants.passed else 'fail'} "
+                 f"({len(invariants.violations)} violations)")
     write_trace_csv(out_dir / "trace.csv", state.trace)
     (out_dir / "metrics.txt").write_text("\n".join(lines) + "\n")
     _say("\n".join(lines))
@@ -256,7 +270,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = parse_config(args.config)
+    cfg, config = parse_config(args.config)
     if args.every < 1:
         raise ValueError(f"--every must be >= 1, got {args.every}")
     nu = args.nu if args.nu is not None else 0.5 / cfg["mu"]
@@ -264,22 +278,31 @@ def _cmd_spectrum(args) -> int:
     # the size of the problem actually built: a PGM image sets its own
     if inst.A.cols > 4096:
         raise ValueError(f"spectrum needs n <= 4096, got {inst.A.cols}")
-    state, _ = _run_solve(cfg, inst, snapshot_every=args.every)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["system", "stage", "iter", "index", "raw_lambda", "precond_lambda",
-                         "sigma", "delta", "chi", "bound", "bound_kernel", "kernel_residual"])
-        for sys_idx, snap in enumerate(state.snapshots):
-            rep = spectrum_report(snap.system, nu)
-            for i, (raw, pre, kres) in enumerate(
-                zip(rep.raw_eigs, rep.precond_eigs, rep.kernel_residuals)
-            ):
-                writer.writerow(
-                    [sys_idx, snap.stage, snap.outer_iter, i, f"{raw:.10e}", f"{pre:.10e}",
-                     rep.sigma, f"{rep.delta:.6e}", f"{rep.chi:.6e}",
-                     f"{rep.bound:.6e}", f"{rep.bound_kernel:.6e}", f"{kres:.6e}"]
-                )
+    out = Path(args.out)
+    fh = open(out, "w", newline="")  # an unwritable --out fails here, before the solve
+    try:
+        with fh:
+            state, _ = _run_solve(cfg, inst, dataclasses.replace(config, snapshot_every=args.every))
+            writer = csv.writer(fh)
+            writer.writerow(["system", "stage", "iter", "index", "raw_lambda", "precond_lambda",
+                             "sigma", "delta", "chi", "bound", "bound_kernel", "kernel_residual"])
+            for sys_idx, snap in enumerate(state.snapshots):
+                rep = spectrum_report(snap.system, nu)
+                for i, (raw, pre, kres) in enumerate(
+                    zip(rep.raw_eigs, rep.precond_eigs, rep.kernel_residuals)
+                ):
+                    writer.writerow(
+                        [sys_idx, snap.stage, snap.outer_iter, i, f"{raw:.10e}", f"{pre:.10e}",
+                         rep.sigma, f"{rep.delta:.6e}", f"{rep.chi:.6e}",
+                         f"{rep.bound:.6e}", f"{rep.bound_kernel:.6e}", f"{kres:.6e}"]
+                    )
+    except BaseException:
+        # an aborted solve or export leaves no partial CSV behind; a pipe,
+        # a device or a link such as /dev/stdout is not removed
+        if out.is_file() and not out.is_symlink():
+            out.unlink()
+        raise
     _say(f"wrote spectra of {len(state.snapshots)} systems to {args.out}")
     return 0
 
@@ -324,7 +347,9 @@ def _cmd_check(args) -> int:
         # the 32x32 phantom at the solve command's defaults, both instance seeds
         for seed in (0, 1):
             cfg = dict(_DEFAULTS, size=32, seed=seed)
-            traces[f"phantom32_seed{seed}"] = _run_solve(cfg, _build_problem(cfg)[0])[0].trace
+            defaults = SolverConfig(precond_mode=_PRECOND_MODES[cfg["precond"]])
+            state, _ = _run_solve(cfg, _build_problem(cfg)[0], defaults)
+            traces[f"phantom32_seed{seed}"] = state.trace
         for name, trace in traces.items():
             tail = diagnostics.rate_probe(trace)[-3:]
             ok = len(tail) == 3 and all(b < a for a, b in zip(tail, tail[1:])) and tail[-1] < 0.1

@@ -53,18 +53,39 @@ def shepp_logan(n1: int, n2: int) -> np.ndarray:
 
     Pixel centres live on [-1, 1]^2 with row 0 at the top; intensities
     use the high-contrast table and the result is clipped to [0, 1].
+
+    Each ellipse is tested only on the pixels of its bounding box, with
+    half-widths hypot(a cos phi, b sin phi) and hypot(a sin phi, b cos phi),
+    widened by one pixel and clipped to the image; the offsets from its
+    centre are a broadcast row and column, so the cost per ellipse is
+    proportional to its box.  The ten boxes add up to 1.39 image areas,
+    or 1.72, 1.55 and 1.41 with the margin at 64, 128 and 1024 pixels a
+    side, against 10 over the full grid.  Every pixel gets the arithmetic
+    of an evaluation over the full grid, so the image is the same to the
+    last bit.  On one core of a 2-vCPU Xeon guest (numpy 2.4, best of 5)
+    it takes 0.39-0.46 ms at 64x64, 0.59-0.66 ms at 128x128 and 35-39 ms
+    at 1024x1024, against 0.67-0.78, 1.9-2.0 and 249-299 ms over the
+    full grid.
     """
     if n1 < 16 or n2 < 16:
         raise ValueError("phantom needs at least 16 pixels per side")
     xs = 2.0 * (np.arange(n2) + 0.5) / n2 - 1.0
     ys = 1.0 - 2.0 * (np.arange(n1) + 0.5) / n1
-    X, Y = np.meshgrid(xs, ys)
     img = np.zeros((n1, n2))
     for amp, a, b, x0, y0, phi_deg in _ELLIPSES:
         phi = math.radians(phi_deg)
-        xr = (X - x0) * math.cos(phi) + (Y - y0) * math.sin(phi)
-        yr = -(X - x0) * math.sin(phi) + (Y - y0) * math.cos(phi)
-        img[(xr / a) ** 2 + (yr / b) ** 2 <= 1.0] += amp
+        cos, sin = math.cos(phi), math.sin(phi)
+        hx, hy = math.hypot(a * cos, b * sin), math.hypot(a * sin, b * cos)
+        # pixel j is centred at x = 2 (j + 0.5) / n2 - 1, row i at y = 1 - 2 (i + 0.5) / n1
+        cols = slice(max(0, math.floor((x0 - hx + 1.0) * n2 / 2.0 - 0.5) - 1),
+                     min(n2, math.ceil((x0 + hx + 1.0) * n2 / 2.0 - 0.5) + 2))
+        rows = slice(max(0, math.floor((1.0 - y0 - hy) * n1 / 2.0 - 0.5) - 1),
+                     min(n1, math.ceil((1.0 - y0 + hy) * n1 / 2.0 - 0.5) + 2))
+        dx = (xs[cols] - x0)[np.newaxis, :]
+        dy = (ys[rows] - y0)[:, np.newaxis]
+        xr = dx * cos + dy * sin
+        yr = -dx * sin + dy * cos
+        img[rows, cols][(xr / a) ** 2 + (yr / b) ** 2 <= 1.0] += amp
     return np.clip(img, 0.0, 1.0)
 
 

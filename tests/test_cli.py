@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,30 @@ def test_solve_trace_names_each_stage_preconditioner(tmp_path):
     assert records[-1]["accepted"] == "True"
 
 
+def test_solve_metrics_summarize_each_stage(tmp_path):
+    # metrics.txt gives one line per continuation stage, read from the trace,
+    # and the invariant verdict; the stage lines add up to the trace's totals
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("size = 32\n")
+    out_dir = tmp_path / "out"
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    with open(out_dir / "trace.csv") as fh:
+        records = list(csv.DictReader(fh))
+    metrics = (out_dir / "metrics.txt").read_text().splitlines()
+    pattern = re.compile(r"stage (\d+) = precond (\w+), outer (\d+), pcg (\d+), "
+                         r"capped (\d+), rejected (\d+)$")
+    stages = [pattern.match(line).groups() for line in metrics if line.startswith("stage ")]
+    assert [int(s[0]) for s in stages] == list(range(6))
+    assert sum(int(s[2]) for s in stages) == len(records)
+    assert sum(int(s[3]) for s in stages) == sum(int(r["pcg_iters"]) for r in records)
+    for stage, mode, _, _, capped, rejected in stages:
+        rows = [r for r in records if r["stage"] == stage]
+        assert {r["precond_mode"] for r in rows} == {mode}
+        assert int(capped) == sum(r["pcg_converged"] == "False" for r in rows)
+        assert int(rejected) == sum(r["accepted"] == "False" for r in rows)
+    assert "invariants = pass (0 violations)" in metrics
+
+
 def test_trace_csv_writes_every_record_field_at_full_precision(tmp_path):
     rec = IterationRecord(
         stage=2, outer_iter=7, f=1.0 / 3.0, grad_norm=2.0 ** -40, grad_norm_in=0.1,
@@ -316,6 +341,17 @@ def test_solve_rejects_nonpositive_max_outer(tmp_path, capsys):
     assert "max_outer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["max_outer = 0", "mu = 0", "size = 8"])
+def test_solve_config_error_creates_no_out_dir(tmp_path, capsys, setting):
+    # a bad solver, objective or problem setting is reported before --out-dir exists
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SOLVE_CONFIG + f"\n{setting}\n")
+    out_dir = tmp_path / "fresh"
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
 def test_solve_missing_config(tmp_path):
     assert run_cli(["solve", "--config", str(tmp_path / "absent.cfg"),
                     "--out-dir", str(tmp_path)]) == 2
@@ -424,6 +460,36 @@ def test_spectrum_rejects_missing_out_dir(tmp_path, capsys):
     out = tmp_path / "missing" / "s.csv"
     assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out), "--every", "50"]) == 2
     assert_one_error_line(capsys.readouterr().err, "missing")
+
+
+def test_spectrum_checks_out_before_the_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        pytest.fail("spectrum solved before it opened --out")
+
+    monkeypatch.setattr(cli, "_run_solve", no_solve)
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SOLVE_CONFIG)
+    out = tmp_path / "missing" / "s.csv"
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out), "--every", "50"]) == 2
+    assert_one_error_line(capsys.readouterr().err, "missing")
+
+
+def test_spectrum_aborted_solve_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    def broken(obj, config, schedule):
+        raise FloatingPointError("non-finite PCG residual")
+
+    monkeypatch.setattr(cli, "run_continuation", broken)
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SOLVE_CONFIG)
+    out = tmp_path / "s.csv"
+    # --out through a link, as /dev/stdout is: the link itself stays
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "target.csv")
+    for path in (out, link):
+        assert run_cli(["spectrum", "--config", str(cfg), "--out", str(path), "--every", "50"]) == 2
+        assert capsys.readouterr().err == "error: solve aborted: non-finite PCG residual\n"
+    assert not out.exists()
+    assert link.is_symlink()
 
 
 def test_spectrum_keeps_its_status_when_the_reader_left(tmp_path):

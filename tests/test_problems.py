@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csnewton.problems import (
+    _ELLIPSES,
     add_noise_to_psnr,
     make_itv_instance,
     psnr,
@@ -25,6 +28,34 @@ def test_phantom_center_value():
     for n in (64, 256):
         img = shepp_logan(n, n)
         assert abs(img[n // 2, n // 2] - 0.2) <= 1e-12
+
+
+def _parent_shepp_logan(n1, n2):
+    """The full-grid rasterizer the bounding-box one replaced, kept verbatim
+    as the bit-for-bit reference: every ellipse tested on every pixel."""
+    xs = 2.0 * (np.arange(n2) + 0.5) / n2 - 1.0
+    ys = 1.0 - 2.0 * (np.arange(n1) + 0.5) / n1
+    X, Y = np.meshgrid(xs, ys)
+    img = np.zeros((n1, n2))
+    for amp, a, b, x0, y0, phi_deg in _ELLIPSES:
+        phi = math.radians(phi_deg)
+        xr = (X - x0) * math.cos(phi) + (Y - y0) * math.sin(phi)
+        yr = -(X - x0) * math.sin(phi) + (Y - y0) * math.cos(phi)
+        img[(xr / a) ** 2 + (yr / b) ** 2 <= 1.0] += amp
+    return np.clip(img, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "n1,n2", [(16, 16), (16, 17), (17, 300), (100, 37), (128, 128), (255, 256), (1024, 1024)]
+)
+def test_phantom_is_the_full_grid_phantom_bit_for_bit(n1, n2):
+    assert np.array_equal(shepp_logan(n1, n2), _parent_shepp_logan(n1, n2))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(16, 200), st.integers(16, 200))
+def test_phantom_matches_the_full_grid_phantom_at_any_shape(n1, n2):
+    assert np.array_equal(shepp_logan(n1, n2), _parent_shepp_logan(n1, n2))
 
 
 def test_phantom_rejects_tiny():
