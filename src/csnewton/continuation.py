@@ -172,9 +172,7 @@ def run_continuation(
         config_j = replace(
             config, precond_mode=stage.precond_mode, max_outer=stage.max_outer, eta=stage.eta
         )
-        if state is not None:  # solve_subproblem projects the warm-start duals
-            state.outer_iter = 0
-        try:
+        try:  # solve_subproblem projects the warm-start duals
             state = solve_subproblem(obj_j, config_j, init=state, stage=j)
         except Exception as exc:  # noqa: BLE001 - annotate and re-raise
             raise StageError(j, exc) from exc

@@ -1,7 +1,7 @@
 """Primal-dual Newton conjugate-gradients core loop.
 
-One outer iteration, at the current primal x and box-constrained duals
-(g_re, g_im):
+One outer iteration, at the current primal x and the complex dual g
+(one entry per analysis coefficient, each of modulus at most 1):
 
   1. build the symmetrized primal-dual matrix Bhat = c*sym(Bt) + A^T A
      as an action (sym(Bt) as an assembled sparse stencil for 2D
@@ -15,23 +15,25 @@ One outer iteration, at the current primal x and box-constrained duals
 
 Dictionary-domain convention: the analysis channels of a real vector v
 are Re(W* v) and Im(W* v), and the paired synthesis of two real vectors
-(p, q) back to the primal space is Re(W (p + i q)); the complex dual
-g_re + i g_im then estimates D * (W* x), whose componentwise modulus is
-below one by construction.  The dual-coupled matrix and the dual step
-are the exact linearization of the optimality conditions in these
-channels (cross couplings enter with a minus sign); correctness is
-pinned by the requirement that, with the duals at their central values
-D*Re(W* x) and D*Im(W* x), the symmetrized matrix reproduces the true
-Hessian of the smoothed objective.  ``NewtonSystem.at_central_duals``
-builds that system, and ``csnewton check --suite derivatives`` compares
-its action with finite differences of the gradient.
+(p, q) back to the primal space is Re(W (p + i q)); the complex dual g
+then estimates D * (W* x), whose componentwise modulus is below one by
+construction.  The loop rebinds g to a new array at each step and never
+writes into it, so a Newton system built at one step stays valid.  The
+dual-coupled matrix and the dual step are the exact linearization of
+the optimality conditions in these channels (cross couplings enter with
+a minus sign); correctness is pinned by the requirement that, with the
+duals at their central values D * (W* x), the symmetrized matrix
+reproduces the true Hessian of the smoothed objective.
+``NewtonSystem.at_central_duals`` builds that system, and ``csnewton
+check --suite derivatives`` compares its action with finite differences
+of the gradient.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -140,10 +142,11 @@ class Counters:
 
 @dataclass
 class SolverState:
+    """Primal x and complex dual g (modulus at most 1 componentwise, rebound
+    at each step and never written in place), with the trace of the steps."""
+
     x: np.ndarray
-    g_re: np.ndarray
-    g_im: np.ndarray
-    outer_iter: int = 0
+    g: np.ndarray
     trace: List[IterationRecord] = field(default_factory=list)
     snapshots: List[SystemSnapshot] = field(default_factory=list)
     counters: Counters = field(default_factory=Counters)
@@ -152,11 +155,7 @@ class SolverState:
 
 def fresh_state(obj: SmoothedObjective) -> SolverState:
     """Zero primal and dual start; satisfies the dual box constraint."""
-    return SolverState(
-        x=np.zeros(obj.n),
-        g_re=np.zeros(obj.W.cols),
-        g_im=np.zeros(obj.W.cols),
-    )
+    return SolverState(x=np.zeros(obj.n), g=np.zeros(obj.W.cols, dtype=np.complex128))
 
 
 def project_linf(u: np.ndarray) -> np.ndarray:
@@ -173,9 +172,11 @@ class NewtonSystem:
     """Actions of one primal-dual Newton system.
 
     Freezes the diagonal data (D, the two cross couplings and the three
-    diagonals of sym(Bt)) at a given (x, g_re, g_im), then exposes the
-    symmetrized curvature action, the full Bhat action and the affine
-    dual step.
+    diagonals of sym(Bt)) at a given x and complex dual g, then exposes
+    the symmetrized curvature action, the full Bhat action and the affine
+    dual step.  The loop passes its g, of modulus at most 1 componentwise;
+    the system keeps that array, which the loop rebinds at each step and
+    never writes into.
 
     When the dictionary has a ``curvature_diagonals`` kernel (the 2D
     gradient), sym(Bt) is assembled once, as a sparse 7-diagonal stencil,
@@ -184,21 +185,20 @@ class NewtonSystem:
     diagonal scaling; assembling their S would cost O(n^2 l).
     """
 
-    def __init__(self, obj: SmoothedObjective, x: np.ndarray, g_re: np.ndarray, g_im: np.ndarray):
+    def __init__(self, obj: SmoothedObjective, x: np.ndarray, g: np.ndarray):
         self.obj = obj
         self.x = x
-        self.g_re = np.asarray(g_re, dtype=np.float64)
-        self.g_im = np.asarray(g_im, dtype=np.float64)
+        self.g = np.asarray(g, dtype=np.complex128)
         W = obj.W
         self.y = W.adjoint_apply(x)
         self.d = build_D(self.y, obj.mu)
         self.rx = np.real(self.y)
         self.ix = np.imag(self.y)
-        self.b2 = self.d * self.g_re * self.ix
-        self.b3 = self.d * self.g_im * self.rx
+        self.b2 = self.d * self.g.real * self.ix
+        self.b3 = self.d * self.g.imag * self.rx
         # diagonals of the symmetric part: D(I-B1), D(I-B4), -D(B2+B3)/2
-        self.d1 = self.d * (1.0 - self.d * self.g_re * self.rx)
-        self.d4 = self.d * (1.0 - self.d * self.g_im * self.ix)
+        self.d1 = self.d * (1.0 - self.d * self.g.real * self.rx)
+        self.d4 = self.d * (1.0 - self.d * self.g.imag * self.ix)
         self.d23 = -0.5 * self.d * (self.b2 + self.b3)
         # upper diagonals (offsets, diags) of sym(Bt), with a stencil kernel only
         self.stencil = None
@@ -212,8 +212,7 @@ class NewtonSystem:
         """The system at the central duals D*W* x, where sym(Bt) = Bt and
         Bhat is the exact Hessian of the smoothed objective at x."""
         y = obj.W.adjoint_apply(x)
-        d = build_D(y, obj.mu)
-        return cls(obj, x, d * np.real(y), d * np.imag(y))
+        return cls(obj, x, build_D(y, obj.mu) * y)
 
     def symb_matvec(self, v: np.ndarray) -> np.ndarray:
         """Action of sym(Bt), the symmetrized dual-coupled curvature."""
@@ -227,13 +226,13 @@ class NewtonSystem:
         A = self.obj.A
         return self.obj.c * self.symb_matvec(v) + A.adjoint_apply(A.apply(v))
 
-    def dual_step(self, dx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Affine dual increments for a given primal direction."""
+    def dual_step(self, dx: np.ndarray) -> np.ndarray:
+        """Affine complex dual increment for a given primal direction."""
         rdx, idx = self.obj.W.fast_analysis_parts(dx)
         d = self.d
-        dg_re = self.d1 * rdx - d * self.b2 * idx - self.g_re + d * self.rx
-        dg_im = self.d4 * idx - d * self.b3 * rdx - self.g_im + d * self.ix
-        return dg_re, dg_im
+        dg_re = self.d1 * rdx - d * self.b2 * idx - self.g.real + d * self.rx
+        dg_im = self.d4 * idx - d * self.b3 * rdx - self.g.imag + d * self.ix
+        return dg_re + 1j * dg_im
 
 
 @dataclass
@@ -299,25 +298,26 @@ def solve_subproblem(
     outer-iteration cap is hit.
 
     The incoming duals are re-projected onto the unit box, so warm starts
-    from a previous subproblem are always admissible.
+    from a previous subproblem are always admissible.  The steps of each
+    call are numbered from 1 (records) and from 0 (snapshots), whatever
+    the trace of ``init`` already holds.
     """
     state = init if init is not None else fresh_state(obj)
-    g0 = project_linf(state.g_re + 1j * state.g_im)
-    state.g_re, state.g_im = np.real(g0), np.imag(g0)
+    state.g = project_linf(state.g)
 
     counters = state.counters
     pre = None
     grad, gnorm = _grad_and_norm(obj, state.x, counters)
     tol = config.grad_tol * max(1.0, gnorm)
 
-    for _ in range(config.max_outer):
+    for k in range(config.max_outer):
         if gnorm <= tol:
             break
         t0 = time.perf_counter()
         gnorm_in = gnorm
-        system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
-        if config.snapshot_every > 0 and state.outer_iter % config.snapshot_every == 0:
-            state.snapshots.append(SystemSnapshot(stage, state.outer_iter, system))
+        system = NewtonSystem(obj, state.x, state.g)
+        if config.snapshot_every > 0 and k % config.snapshot_every == 0:
+            state.snapshots.append(SystemSnapshot(stage, k, system))
         pre = build_for_system(system, config.precond_mode, pre)
         eta_k = config.eta
         if config.eta_schedule == "decreasing":
@@ -335,10 +335,8 @@ def solve_subproblem(
         energy = float(dx @ bdx)
         pcg_residual = float(np.linalg.norm(bdx + grad))
 
-        dg_re, dg_im = system.dual_step(dx)
-        g_new = project_linf((state.g_re + dg_re) + 1j * (state.g_im + dg_im))
-        state.g_re, state.g_im = np.real(g_new), np.imag(g_new)
-        dual_box = float(np.max(np.abs(g_new))) if g_new.size else 0.0
+        state.g = project_linf(state.g + system.dual_step(dx))
+        dual_box = float(np.max(np.abs(state.g))) if state.g.size else 0.0
 
         counters.obj_evals += 1
         ls = line_search(obj, state.x, system.y, dx, energy)
@@ -348,11 +346,10 @@ def solve_subproblem(
         if ls.accepted:  # a rejected step leaves x, and so grad, as they were
             state.x = state.x + ls.alpha * dx
             grad, gnorm = _grad_and_norm(obj, state.x, counters)
-        state.outer_iter += 1
         state.trace.append(
             IterationRecord(
                 stage=stage,
-                outer_iter=state.outer_iter,
+                outer_iter=k + 1,
                 f=ls.f_new,
                 grad_norm=gnorm,
                 grad_norm_in=gnorm_in,

@@ -244,21 +244,35 @@ def test_exact_banded_continuation_any_image_size(n1, n2):
 
 
 def test_exact_banded_continuation_at_tiny_mu():
-    # D <= 1/mu = 1e8 strains the curvature; nine stages to mu = 1e-8
-    state = phantom_continuation(32, 32, 1e-8)
+    # D <= 1/mu = 1e11 strains the curvature; twelve stages to mu = 1e-11
+    state = phantom_continuation(32, 32, 1e-11)
     assert state.converged
-    assert {r.stage for r in state.trace} == set(range(9))
+    assert {r.stage for r in state.trace} == set(range(12))
     assert check_solver_invariants(state.trace).violations == []
 
 
 def test_warm_start_duals_reprojected():
     obj = small_itv_objective(1e-1, 1e-2)
     init = fresh_state(obj)
-    init.g_re = 7.0 * np.ones(obj.W.cols)  # wildly infeasible warm start
+    init.g = 7.0 * np.ones(obj.W.cols)  # real and wildly infeasible warm start
     config = SolverConfig(grad_tol=1e-6, max_outer=30)
     state = run_continuation(obj, config, make_schedule(1e-1, 1e-2), init=init)
     assert state.converged
-    assert np.max(np.hypot(state.g_re, state.g_im)) <= 1.0 + 1e-12
+    assert np.max(np.abs(state.g)) <= 1.0 + 1e-12
+
+
+def test_each_stage_numbers_its_own_steps():
+    # every call of the Newton loop counts from its own first step, however
+    # many steps the warm-start state's earlier stages took
+    config = SolverConfig(precond_mode="exact_banded", snapshot_every=1)
+    state = phantom_continuation(16, 16, 1e-5, config)
+    assert state.converged
+    for s in range(6):
+        steps = [r.outer_iter for r in state.trace if r.stage == s]
+        snaps = [snap.outer_iter for snap in state.snapshots if snap.stage == s]
+        assert steps == list(range(1, len(steps) + 1))
+        assert snaps == list(range(len(steps)))
+    assert len(steps) > 1  # the final stage runs to grad_tol
 
 
 def test_stage_error_carries_index():
@@ -276,10 +290,10 @@ def test_failed_banded_factor_is_a_stage_error(monkeypatch):
     # fails, and the error names the mode and carries the stage
     newton_system = csnewton.solver.NewtonSystem
 
-    def out_of_box(obj, x, g_re, g_im):
+    def out_of_box(obj, x, g):
         if obj.mu <= PRECOND_ENABLE_MU["exact_banded"]:
-            g_re = g_im = np.full(g_re.shape, 30.0)
-        return newton_system(obj, x, g_re, g_im)
+            g = np.full(g.shape, 30.0 + 30.0j)
+        return newton_system(obj, x, g)
 
     monkeypatch.setattr(csnewton.solver, "NewtonSystem", out_of_box)
     obj = small_itv_objective(1e-2, 1e-5)

@@ -1,6 +1,7 @@
-"""pdNCG against an oracle that shares none of its Newton, PCG or dual code:
+"""pdNCG against oracles that share none of its Newton, PCG or dual code:
 L-BFGS-B on the same smoothed objective, through ``objective_value`` and
-``objective_grad`` only."""
+``objective_grad`` only, and Chambolle-Pock on the unsmoothed TV problem
+for the limit mu -> 0."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from scipy.optimize import minimize
 
 from csnewton import cli
+from csnewton.continuation import make_schedule, run_continuation
 from csnewton.problems import make_itv_instance, shepp_logan
 from csnewton.smoothing import SmoothedObjective, objective_grad, objective_value
 from csnewton.solver import SolverConfig, solve_subproblem
@@ -62,3 +64,53 @@ def test_solver_matches_lbfgsb_oracle(request, oracle, mode):
     assert state.converged
     assert abs(objective_value(obj, state.x) - f_ref) <= 1e-10 * abs(f_ref)
     assert np.linalg.norm(state.x - x_ref) <= 1e-5 * np.linalg.norm(x_ref)
+
+
+def tv_value(inst, c, x):
+    """The unsmoothed objective c*TV(x) + 0.5*||A x - b||^2."""
+    r = inst.A.apply(x) - inst.b
+    return c * float(np.sum(np.abs(inst.W.adjoint_apply(x)))) + 0.5 * float(r @ r)
+
+
+def chambolle_pock_tv(inst, c, iters):
+    """Chambolle-Pock (J. Math. Imaging Vis. 40(1), 2011) on c*TV(x) +
+    0.5*||A x - b||^2: the dual p is projected onto the disc of radius c,
+    and the data term has an exact prox because A^T A is a projection for
+    the partial DCT.  tau = sigma = 0.99/sqrt(8), since ||grad||^2 <= 8."""
+    W, A = inst.W, inst.A
+    tau = sigma = 0.99 / math.sqrt(8.0)
+    atb = A.adjoint_apply(inst.b)
+    x = np.zeros(W.rows)
+    xbar = x
+    p = np.zeros(W.cols, dtype=np.complex128)
+    for _ in range(iters):
+        p = p + sigma * W.adjoint_apply(xbar)
+        p = p / np.maximum(1.0, np.abs(p) / c)
+        u = x - tau * W.fast_synth_real(p.real, p.imag) + tau * atb
+        x_new = u - tau / (1.0 + tau) * A.adjoint_apply(A.apply(u))
+        xbar = 2.0 * x_new - x
+        x = x_new
+    return x
+
+
+@pytest.fixture(scope="module")
+def tv_oracle():
+    """The 16x16 phantom from 25% of its DCT, instance seed 0, c = 1e-2,
+    and the unsmoothed minimum F* from 20000 Chambolle-Pock iterations
+    (about 0.8 s; within 7e-10 relative of 80000 iterations)."""
+    inst = make_itv_instance(shepp_logan(16, 16), 0.25, math.inf, 0)
+    c = 1e-2
+    return inst, c, tv_value(inst, c, chambolle_pock_tv(inst, c, 20000))
+
+
+@pytest.mark.parametrize("mu", [1e-3, 1e-5, 1e-7])
+def test_smoothed_minimizer_is_within_c_l_mu_of_the_tv_minimum(tv_oracle, mu):
+    # 0 <= |t| - (sqrt(mu^2 + t^2) - mu) <= mu, so F(x_mu) - F* <= c*l*mu;
+    # measured at about a tenth of that bound
+    inst, c, f_star = tv_oracle
+    obj = SmoothedObjective(c=c, mu=mu, A=inst.A, W=inst.W, b=inst.b)
+    state = run_continuation(obj, SolverConfig(precond_mode="exact_banded"), make_schedule(c, mu))
+    assert state.converged
+    gap = tv_value(inst, c, state.x) - f_star
+    tol = 1e-9 * f_star
+    assert -tol <= gap <= c * inst.W.cols * mu + tol

@@ -35,7 +35,7 @@ def itv_system(n1=4, n2=4, mu=1e-2, c=0.1, seed=0, x=None, g=None):
     x = rng.standard_normal(n) if x is None else x
     if g is None:
         g = project_linf(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return obj, NewtonSystem(obj, x, np.real(g), np.imag(g))
+    return obj, NewtonSystem(obj, x, g)
 
 
 def dense_system(field, seed=0, n=12, l=16, mu=1e-2, c=0.1):
@@ -48,7 +48,7 @@ def dense_system(field, seed=0, n=12, l=16, mu=1e-2, c=0.1):
     A = make_dense_dictionary(rng.standard_normal((n // 2, n)) / np.sqrt(n))
     obj = SmoothedObjective(c=c, mu=mu, A=A, W=W, b=rng.standard_normal(n // 2))
     g = project_linf(rng.standard_normal(l) + 1j * rng.standard_normal(l))
-    return obj, NewtonSystem(obj, rng.standard_normal(n), np.real(g), np.imag(g))
+    return obj, NewtonSystem(obj, rng.standard_normal(n), g)
 
 
 ORACLE_SYSTEMS = {
@@ -203,7 +203,7 @@ def test_truncated_cg_inverts_a_multiple_of_the_identity(frame):
     obj = SmoothedObjective(c=1e-2, mu=1e-3, A=A, W=make_dense_dictionary(entries),
                             b=rng.standard_normal(4))
     state = fresh_state(obj)
-    pre = build_for_system(NewtonSystem(obj, state.x, state.g_re, state.g_im), "truncated_cg")
+    pre = build_for_system(NewtonSystem(obj, state.x, state.g), "truncated_cg")
     r = rng.standard_normal(n)
     z = pre.action(r)
     assert pre.sweeps == 1
@@ -255,7 +255,7 @@ def out_of_box_system(scale):
     # duals scale*(1 + i) lie outside the unit box for every scale > 1/sqrt(2)
     obj, system = itv_system()
     bad = scale * (np.ones(obj.n) + 1j * np.ones(obj.n))
-    return obj, NewtonSystem(obj, system.x, np.real(bad), np.imag(bad))
+    return obj, NewtonSystem(obj, system.x, bad)
 
 
 def test_truncated_cg_rejects_a_nonpositive_target_diagonal():
@@ -352,7 +352,7 @@ def test_spectrum_all_ones_when_target_equals_matrix():
     obj = SmoothedObjective(c=0.1, mu=1e-2, A=A, W=W, b=rng.standard_normal(n))
     x = rng.standard_normal(n)
     g = project_linf(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    rep = spectrum_report(NewtonSystem(obj, x, np.real(g), np.imag(g)), nu=0.5 / obj.mu)
+    rep = spectrum_report(NewtonSystem(obj, x, g), nu=0.5 / obj.mu)
     np.testing.assert_allclose(rep.precond_eigs, np.ones(n), atol=1e-10)
     assert np.all(rep.raw_eigs > 0)
     assert np.all(np.diff(rep.raw_eigs) >= 0) and np.all(np.diff(rep.precond_eigs) >= 0)
@@ -367,7 +367,7 @@ def test_spectrum_shift_only_target_scales_raw():
     W = make_gradient2d(n1, n2)
     A = make_dense_dictionary(rng.standard_normal((n // 2, n)) / np.sqrt(n))
     obj = SmoothedObjective(c=1e-12, mu=1e-2, A=A, W=W, b=rng.standard_normal(n // 2))
-    system = NewtonSystem(obj, rng.standard_normal(n), np.zeros(n), np.zeros(n))
+    system = NewtonSystem(obj, rng.standard_normal(n), np.zeros(n))
     rep = spectrum_report(system, nu=0.5 / obj.mu)
     np.testing.assert_allclose(rep.precond_eigs, rep.raw_eigs / RHO, atol=1e-8)
 
@@ -381,7 +381,7 @@ def test_spectrum_rejects_large_n():
     big = SmoothedObjective(c=0.1, mu=1e-2, A=make_dense_dictionary(np.zeros((1, 5000))), W=W,
                             b=np.zeros(1))
     with pytest.raises(ValueError):
-        spectrum_report(NewtonSystem(big, zeros, zeros, zeros), nu=1.0)
+        spectrum_report(NewtonSystem(big, zeros, zeros), nu=1.0)
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_SYSTEMS))
@@ -415,7 +415,7 @@ def test_clustering_bounds_hold_on_solved_instance():
 
     config = SolverConfig(grad_tol=1e-8, max_outer=40, precond_mode="exact_banded")
     state = run_continuation(obj, config, make_schedule(2.29e-2, mu))
-    system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
+    system = NewtonSystem(obj, state.x, state.g)
     rep = spectrum_report(system, nu=0.5 / mu)
     dev = np.abs(rep.precond_eigs - 1.0)
     assert np.all(dev <= rep.bound_kernel + 1e-9)

@@ -81,7 +81,7 @@ def test_bhat_zero_point_identity_dictionary():
     A = make_dense_dictionary(np.zeros((2, 3)))
     obj = SmoothedObjective(c=1.0, mu=mu, A=A, W=W, b=np.zeros(2))
     state = fresh_state(obj)
-    system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
+    system = NewtonSystem(obj, state.x, state.g)
     v = np.array([1.0, -2.0, 0.5])
     np.testing.assert_allclose(system.bhat_matvec(v), v / mu, rtol=1e-14)
 
@@ -103,7 +103,7 @@ def test_bhat_symmetry_at_generic_duals():
     obj = small_instance(rng, complex_w=True)
     x = rng.standard_normal(obj.n)
     g = project_linf(rng.standard_normal(obj.W.cols) + 1j * rng.standard_normal(obj.W.cols))
-    system = NewtonSystem(obj, x, np.real(g), np.imag(g))
+    system = NewtonSystem(obj, x, g)
     for _ in range(10):
         u = rng.standard_normal(obj.n)
         v = rng.standard_normal(obj.n)
@@ -116,9 +116,9 @@ def test_dual_step_fixed_point_at_central_duals():
     rng = np.random.default_rng(3)
     obj = small_instance(rng, complex_w=True)
     system = NewtonSystem.at_central_duals(obj, rng.standard_normal(obj.n))
-    dg_re, dg_im = system.dual_step(np.zeros(obj.n))
-    assert np.max(np.abs(dg_re)) <= 1e-14
-    assert np.max(np.abs(dg_im)) <= 1e-14
+    dg = system.dual_step(np.zeros(obj.n))
+    assert np.max(np.abs(dg.real)) <= 1e-14
+    assert np.max(np.abs(dg.imag)) <= 1e-14
 
 
 def test_dual_step_zero_point_identity_dictionary():
@@ -128,9 +128,9 @@ def test_dual_step_zero_point_identity_dictionary():
     obj = SmoothedObjective(c=1.0, mu=mu, A=A, W=W, b=np.zeros(2))
     state = fresh_state(obj)
     dx = np.array([0.3, -0.1, 0.7])
-    dg_re, dg_im = NewtonSystem(obj, state.x, state.g_re, state.g_im).dual_step(dx)
-    np.testing.assert_allclose(dg_re, dx / mu, rtol=1e-14)
-    np.testing.assert_array_equal(dg_im, np.zeros(3))
+    dg = NewtonSystem(obj, state.x, state.g).dual_step(dx)
+    np.testing.assert_allclose(dg.real, dx / mu, rtol=1e-14)
+    np.testing.assert_array_equal(dg.imag, np.zeros(3))
 
 
 def test_dual_step_matches_dense_formula():
@@ -141,7 +141,7 @@ def test_dual_step_matches_dense_formula():
     dx = rng.standard_normal(obj.n)
     g = project_linf(rng.standard_normal(obj.W.cols) + 1j * rng.standard_normal(obj.W.cols))
     g_re, g_im = np.real(g), np.imag(g)
-    system = NewtonSystem(obj, x, g_re, g_im)
+    system = NewtonSystem(obj, x, g)
 
     wd = dense_columns(obj.W.apply, obj.W.cols)
     p = wd.conj().T.real  # maps v -> Re(W* v)
@@ -156,9 +156,9 @@ def test_dual_step_matches_dense_formula():
     expect_re = d * (1 - b1) * (p @ dx) - d * b2 * (q @ dx) - g_re + d * a
     expect_im = d * (1 - b4) * (q @ dx) - d * b3 * (p @ dx) - g_im + d * b
 
-    dg_re, dg_im = system.dual_step(dx)
-    np.testing.assert_allclose(dg_re, expect_re, rtol=1e-11, atol=1e-12)
-    np.testing.assert_allclose(dg_im, expect_im, rtol=1e-11, atol=1e-12)
+    dg = system.dual_step(dx)
+    np.testing.assert_allclose(dg.real, expect_re, rtol=1e-11, atol=1e-12)
+    np.testing.assert_allclose(dg.imag, expect_im, rtol=1e-11, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,7 @@ def test_zero_data_terminates_immediately():
     obj = small_instance(rng)
     obj = SmoothedObjective(c=obj.c, mu=obj.mu, A=obj.A, W=obj.W, b=np.zeros(obj.A.rows))
     state = solve_subproblem(obj, SolverConfig(grad_tol=1e-10))
-    assert state.outer_iter == 0 and state.converged
+    assert state.trace == [] and state.converged
     np.testing.assert_array_equal(state.x, np.zeros(obj.n))
 
 
@@ -338,8 +338,8 @@ def test_dual_convergence_to_central_values():
     assert state.converged
     y = obj.W.adjoint_apply(state.x)
     d = build_D(y, obj.mu)
-    assert np.max(np.abs(state.g_re - d * np.real(y))) <= 1e-5
-    assert np.max(np.abs(state.g_im - d * np.imag(y))) <= 1e-5
+    assert np.max(np.abs(state.g.real - d * np.real(y))) <= 1e-5
+    assert np.max(np.abs(state.g.imag - d * np.imag(y))) <= 1e-5
 
 
 def test_bhat_approaches_hessian_at_termination():
@@ -347,7 +347,7 @@ def test_bhat_approaches_hessian_at_termination():
     obj = small_instance(rng, n=12, mu=1e-2, c=0.1, complex_w=True)
     state = solve_subproblem(obj, SolverConfig(grad_tol=1e-10, max_outer=200))
     v = rng.standard_normal(obj.n)
-    system = NewtonSystem(obj, state.x, state.g_re, state.g_im)
+    system = NewtonSystem(obj, state.x, state.g)
     gap = system.bhat_matvec(v) - hess_f_matvec(obj, state.x, v)
     assert np.linalg.norm(gap) / np.linalg.norm(v) <= 1e-4
 
@@ -371,7 +371,7 @@ def test_negative_curvature_flagged_for_invalid_duals():
     rng = np.random.default_rng(14)
     obj = small_instance(rng, n=10, mu=1e-3, c=5.0)
     x = rng.standard_normal(obj.n)
-    system = NewtonSystem(obj, x, 40.0 * np.ones(obj.W.cols), np.zeros(obj.W.cols))
+    system = NewtonSystem(obj, x, 40.0 * np.ones(obj.W.cols))
     with pytest.raises(NegativeCurvatureError):
         pcg_solve(system.bhat_matvec, rng.standard_normal(obj.n), eta=1e-10, cap=50)
 
@@ -382,10 +382,10 @@ def test_entry_projection_protects_solver_from_bad_warm_start():
     rng = np.random.default_rng(15)
     obj = small_instance(rng, n=10, mu=1e-2, c=0.1)
     state = fresh_state(obj)
-    state.g_re = 40.0 * np.ones(obj.W.cols)
+    state.g = 40.0 * np.ones(obj.W.cols)
     state = solve_subproblem(obj, SolverConfig(grad_tol=1e-8, max_outer=100), init=state)
     assert state.converged
-    assert np.max(np.hypot(state.g_re, state.g_im)) <= 1.0 + 1e-12
+    assert np.max(np.abs(state.g)) <= 1.0 + 1e-12
 
 
 def test_snapshots_hold_the_systems_the_loop_built():
@@ -394,12 +394,12 @@ def test_snapshots_hold_the_systems_the_loop_built():
     rng = np.random.default_rng(16)
     obj = small_instance(rng, n=12, mu=1e-2, c=0.1, complex_w=True)
     state = solve_subproblem(obj, SolverConfig(grad_tol=1e-10, max_outer=200, snapshot_every=1))
-    assert state.converged and len(state.snapshots) == state.outer_iter > 1
+    assert state.converged and len(state.snapshots) == len(state.trace) > 1
     np.testing.assert_array_equal(state.snapshots[0].system.x, np.zeros(obj.n))
     for k, snap in enumerate(state.snapshots):
         assert snap.outer_iter == k
         s = snap.system
-        rebuilt = NewtonSystem(obj, s.x, s.g_re, s.g_im)
+        rebuilt = NewtonSystem(obj, s.x, s.g)
         for name in ("y", "d1", "d4", "d23"):
             np.testing.assert_array_equal(getattr(rebuilt, name), getattr(s, name))
     assert not np.array_equal(state.snapshots[-1].system.x, state.x)
