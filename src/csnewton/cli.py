@@ -165,8 +165,11 @@ def parse_config(path) -> Tuple[Dict, SolverConfig]:
         raise ConfigError("continuation must be 'on' or 'off'")
     if not 0.0 < cfg["sampling_ratio"] <= 1.0:
         raise ConfigError(f"sampling_ratio must lie in (0, 1], got {cfg['sampling_ratio']}")
-    if not (cfg["c"] > 0.0 and cfg["mu"] > 0.0):
-        raise ConfigError(f"c and mu must be positive, got c = {cfg['c']}, mu = {cfg['mu']}")
+    if not (0.0 < cfg["c"] < math.inf and 0.0 < cfg["mu"] < math.inf):
+        raise ConfigError(f"c and mu must be positive and finite, "
+                          f"got c = {cfg['c']}, mu = {cfg['mu']}")
+    if math.isnan(cfg["target_psnr"]):
+        raise ConfigError("target_psnr must be a number, or inf for noiseless data, got nan")
     config = SolverConfig(precond_mode=_PRECOND_MODES[cfg["precond"]],
                           **{key: cfg[key] for key in _SOLVER_KEYS if key in cfg})
     return cfg, config
@@ -273,6 +276,8 @@ def _cmd_spectrum(args) -> int:
     cfg, config = parse_config(args.config)
     if args.every < 1:
         raise ValueError(f"--every must be >= 1, got {args.every}")
+    if args.nu is not None and not 0.0 < args.nu < math.inf:
+        raise ValueError(f"--nu must be positive and finite, got {args.nu}")
     nu = args.nu if args.nu is not None else 0.5 / cfg["mu"]
     inst, _ = _build_problem(cfg)
     # the size of the problem actually built: a PGM image sets its own

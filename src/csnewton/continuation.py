@@ -135,8 +135,9 @@ def make_schedule(c_target: float, mu_target: float) -> ContinuationSchedule:
     The final pair is assigned exactly, never accumulated.  Fewer than
     two stages collapses to a single solve at the targets.
     """
-    if c_target <= 0 or mu_target <= 0:
-        raise ValueError("continuation targets must be positive")
+    if not (0.0 < c_target < math.inf and 0.0 < mu_target < math.inf):
+        raise ValueError(f"continuation targets must be positive and finite, "
+                         f"got c = {c_target}, mu = {mu_target}")
     vartheta = max(_order_of_magnitude(c_target), _order_of_magnitude(mu_target))
     if vartheta < 2:
         return ContinuationSchedule(((c_target, mu_target),))

@@ -89,8 +89,8 @@ class SolverConfig:
             raise ValueError(f"unknown eta_schedule {self.eta_schedule!r}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if self.grad_tol < 0.0:
-            raise ValueError("grad_tol must be nonnegative")
+        if not 0.0 <= self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be nonnegative and finite, got {self.grad_tol}")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be nonnegative")
 
@@ -115,6 +115,8 @@ class IterationRecord:
     pcg_residual: float  # ||Bhat dx + grad f||
     precond_mode: str  # the stage's preconditioner
     f_in: float  # f at the iterate the step started from
+    precond_sweeps: int  # inner CG sweeps of the step's preconditioner (truncated_cg only)
+    kinks_crossed: int  # coefficients whose |W* x| crosses mu along the full step dx
 
 
 @dataclass
@@ -127,16 +129,27 @@ class SystemSnapshot:
     system: NewtonSystem
 
 
-@dataclass
+@dataclass(frozen=True)
 class Counters:
-    pcg_iters: int = 0
-    precond_inner_iters: int = 0
-    grad_evals: int = 0
-    obj_evals: int = 0
+    """Work tallies of a solve, summed from its trace by ``SolverState.counters``.
+
+    Each field is a sum over the records: PCG iterations (plus the one
+    Bhat product that a capped solve pays for), preconditioner sweeps,
+    gradient evaluations (one at the entry of each call that takes a
+    step, one per accepted step) and objective evaluations (the line
+    search's trials and f(x)).  A ``solve_subproblem`` call that starts
+    converged takes no step and leaves no record, so its entry gradient
+    is not counted.
+    It remains only because the benchmark (``perfbench/run.py``) reads
+    ``state.counters``."""
+
+    pcg_iters: int
+    precond_inner_iters: int
+    grad_evals: int
+    obj_evals: int
 
     def total_matvecs(self) -> int:
-        """Operator-application tally: one unit per Hessian-like action or
-        objective/gradient evaluation (each is a fixed handful of A/W calls)."""
+        """One unit per Bhat action, inner sweep, gradient and objective value."""
         return self.pcg_iters + self.precond_inner_iters + self.grad_evals + self.obj_evals
 
 
@@ -149,8 +162,14 @@ class SolverState:
     g: np.ndarray
     trace: List[IterationRecord] = field(default_factory=list)
     snapshots: List[SystemSnapshot] = field(default_factory=list)
-    counters: Counters = field(default_factory=Counters)
     converged: bool = False
+
+    @property
+    def counters(self) -> Counters:
+        return Counters(sum(r.pcg_iters + (not r.pcg_converged) for r in self.trace),
+                        sum(r.precond_sweeps for r in self.trace),
+                        sum((r.outer_iter == 1) + r.accepted for r in self.trace),
+                        sum(r.backtracks + 2 for r in self.trace))
 
 
 def fresh_state(obj: SmoothedObjective) -> SolverState:
@@ -242,6 +261,7 @@ class LineSearchResult:
     accepted: bool
     f_new: float
     f_x: float
+    kinks_crossed: int  # coefficients i with (|y_i| < mu) != (|y_i + ydx_i| < mu)
 
 
 def line_search(
@@ -259,11 +279,14 @@ def line_search(
     dx, so each trial costs O(l + m) flops and no operator calls.
     ``f_x`` is f(x) itself.  Exhaustion returns ``alpha = 0`` and
     ``f_new = f(x)`` with ``accepted=False``: a step that fails the test
-    is never taken.
+    is never taken.  ``kinks_crossed`` counts the analysis coefficients
+    on opposite sides of |.| = mu at x and at x + dx, an observable of
+    where the smoothed objective bends along the step.
     """
     ydx = obj.W.adjoint_apply(dx)
     r = obj.A.apply(x) - obj.b
     rdx = obj.A.apply(dx)
+    kinks = int(np.count_nonzero((np.abs(y) < obj.mu) != (np.abs(y + ydx) < obj.mu)))
 
     def value(a: float) -> float:
         res = r + a * rdx
@@ -276,12 +299,11 @@ def line_search(
         if not np.isfinite(f_trial):
             raise NonFiniteError(f"non-finite objective in line search at j={j}")
         if f_trial <= f_x - TAU2 * a * energy:
-            return LineSearchResult(a, j, True, f_trial, f_x)
-    return LineSearchResult(0.0, MAX_BACKTRACKS, False, f_x, f_x)
+            return LineSearchResult(a, j, True, f_trial, f_x, kinks)
+    return LineSearchResult(0.0, MAX_BACKTRACKS, False, f_x, f_x, kinks)
 
 
-def _grad_and_norm(obj: SmoothedObjective, x: np.ndarray, counters: Counters):
-    counters.grad_evals += 1
+def _grad_and_norm(obj: SmoothedObjective, x: np.ndarray):
     # looked up in smoothing at each call, so that a patch of it there is seen
     g = smoothing.objective_grad(obj, x)
     return g, float(np.linalg.norm(g))
@@ -305,9 +327,8 @@ def solve_subproblem(
     state = init if init is not None else fresh_state(obj)
     state.g = project_linf(state.g)
 
-    counters = state.counters
     pre = None
-    grad, gnorm = _grad_and_norm(obj, state.x, counters)
+    grad, gnorm = _grad_and_norm(obj, state.x)
     tol = config.grad_tol * max(1.0, gnorm)
 
     for k in range(config.max_outer):
@@ -325,27 +346,22 @@ def solve_subproblem(
 
         outcome = pcg_solve(system.bhat_matvec, -grad, pre.action, eta_k, cap=10 * obj.n,
                             flexible=not pre.linear)
-        counters.pcg_iters += outcome.iterations
-        counters.precond_inner_iters += pre.sweeps
         dx = outcome.solution
         bdx = outcome.op_solution
         if bdx is None:  # a capped solve: its exit gate never formed Bhat dx
             bdx = system.bhat_matvec(dx)
-            counters.pcg_iters += 1
         energy = float(dx @ bdx)
         pcg_residual = float(np.linalg.norm(bdx + grad))
 
         state.g = project_linf(state.g + system.dual_step(dx))
         dual_box = float(np.max(np.abs(state.g))) if state.g.size else 0.0
 
-        counters.obj_evals += 1
         ls = line_search(obj, state.x, system.y, dx, energy)
-        counters.obj_evals += ls.backtracks + 1
         del system  # one system alive at a time: the next is built without this one
 
         if ls.accepted:  # a rejected step leaves x, and so grad, as they were
             state.x = state.x + ls.alpha * dx
-            grad, gnorm = _grad_and_norm(obj, state.x, counters)
+            grad, gnorm = _grad_and_norm(obj, state.x)
         state.trace.append(
             IterationRecord(
                 stage=stage,
@@ -366,6 +382,8 @@ def solve_subproblem(
                 pcg_residual=pcg_residual,
                 precond_mode=config.precond_mode,
                 f_in=ls.f_x,
+                precond_sweeps=pre.sweeps,
+                kinks_crossed=ls.kinks_crossed,
             )
         )
     state.converged = gnorm <= tol

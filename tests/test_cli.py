@@ -211,14 +211,14 @@ def test_trace_csv_writes_every_record_field_at_full_precision(tmp_path):
         pcg_iters=12, alpha=0.9 ** 5, backtracks=5, wall_time=1e-3 / 7.0, eta=1e-2,
         energy=np.pi, dual_box=1.0 - 2.0 ** -52, accepted=False, pcg_converged=True,
         max_residual_drift=3e-17, pcg_residual=np.e, precond_mode="exact_banded",
-        f_in=2.0 / 3.0,
+        f_in=2.0 / 3.0, precond_sweeps=41, kinks_crossed=17,
     )
     path = tmp_path / "trace.csv"
     cli.write_trace_csv(path, [rec])
     with open(path) as fh:
         header, row = list(csv.reader(fh))
     assert header == [f.name for f in dataclasses.fields(IterationRecord)]
-    assert {"grad_norm_in", "dual_box", "f_in"} <= set(header)
+    assert {"grad_norm_in", "dual_box", "f_in", "precond_sweeps", "kinks_crossed"} <= set(header)
     cells = dict(zip(header, row))
     for name, value in dataclasses.asdict(rec).items():
         if isinstance(value, float):
@@ -352,6 +352,21 @@ def test_solve_config_error_creates_no_out_dir(tmp_path, capsys, setting):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("setting, named", [
+    ("grad_tol = nan", "grad_tol"), ("grad_tol = inf", "grad_tol"), ("c = inf", "c = inf"),
+    ("mu = inf", "mu = inf"), ("target_psnr = nan", "target_psnr"),
+])
+def test_solve_rejects_nonfinite_settings(tmp_path, capsys, setting, named):
+    # each would otherwise run a solve: to max_outer (grad_tol = nan), to
+    # x = 0 (grad_tol = inf), or until a stage aborted (the others)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SOLVE_CONFIG + f"\n{setting}\n")
+    out_dir = tmp_path / "fresh"
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert_one_error_line(capsys.readouterr().err, named)
+    assert not out_dir.exists()
+
+
 def test_solve_missing_config(tmp_path):
     assert run_cli(["solve", "--config", str(tmp_path / "absent.cfg"),
                     "--out-dir", str(tmp_path)]) == 2
@@ -451,6 +466,20 @@ def test_spectrum_rejects_every_below_one(tmp_path, capsys, every):
     out = tmp_path / "s.csv"
     assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out), "--every", every]) == 2
     assert "--every must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nu", ["-1", "0", "nan", "inf"])
+def test_spectrum_rejects_nu_not_positive_and_finite(tmp_path, capsys, monkeypatch, nu):
+    def no_solve(*args, **kwargs):
+        pytest.fail("spectrum solved with a bad --nu")
+
+    monkeypatch.setattr(cli, "_run_solve", no_solve)
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SOLVE_CONFIG)
+    out = tmp_path / "s.csv"
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out), "--nu", nu]) == 2
+    assert_one_error_line(capsys.readouterr().err, "--nu must be positive and finite")
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import csnewton.smoothing
 import csnewton.solver
 from csnewton.continuation import (
     PRECOND_ENABLE_MU,
@@ -14,7 +15,7 @@ from csnewton.continuation import (
 from csnewton.diagnostics import check_solver_invariants
 from csnewton.problems import make_itv_instance, psnr, shepp_logan
 from csnewton.smoothing import SmoothedObjective
-from csnewton.solver import SolverConfig, fresh_state, solve_subproblem
+from csnewton.solver import Counters, SolverConfig, fresh_state, solve_subproblem
 
 
 def test_schedule_reference_case():
@@ -55,6 +56,13 @@ def test_schedule_rejects_nonpositive_targets():
         make_schedule(0.0, 1e-3)
     with pytest.raises(ValueError):
         make_schedule(1e-2, -1.0)
+
+
+@pytest.mark.parametrize("c, mu", [(math.inf, 1e-5), (1e-2, math.inf), (math.nan, 1e-5),
+                                   (1e-2, math.nan)])
+def test_schedule_rejects_nonfinite_targets(c, mu):
+    with pytest.raises(ValueError, match="positive and finite"):
+        make_schedule(c, mu)
 
 
 def small_itv_objective(c, mu, seed=3, side=16, ratio=0.5):
@@ -273,6 +281,65 @@ def test_each_stage_numbers_its_own_steps():
         assert steps == list(range(1, len(steps) + 1))
         assert snaps == list(range(len(steps)))
     assert len(steps) > 1  # the final stage runs to grad_tol
+
+
+@pytest.fixture
+def grad_calls(monkeypatch):
+    """Counts the gradients the Newton loop evaluates; it looks
+    ``objective_grad`` up in ``smoothing`` at each call."""
+    calls = []
+    grad = csnewton.smoothing.objective_grad
+
+    def spy(obj, x):
+        calls.append(x)
+        return grad(obj, x)
+
+    monkeypatch.setattr(csnewton.smoothing, "objective_grad", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mode", ["none", "exact_banded", "truncated_cg"])
+def test_summed_tallies_count_every_gradient_evaluated(grad_calls, mode, seed):
+    inst = make_itv_instance(shepp_logan(16, 16), 0.25, math.inf, seed)
+    obj = SmoothedObjective(c=1e-2, mu=1e-5, A=inst.A, W=inst.W, b=inst.b)
+    state = run_continuation(obj, SolverConfig(precond_mode=mode), make_schedule(1e-2, 1e-5))
+    assert state.converged
+    assert state.counters.grad_evals == len(grad_calls)
+    assert (state.counters.precond_inner_iters > 0) == (mode == "truncated_cg")
+
+
+def test_tallies_of_a_solve_without_steps_are_zero(grad_calls):
+    # with b = 0 every stage starts at its minimizer x = 0 and takes no
+    # step; its entry gradient leaves no record, so the tallies miss it
+    inst = make_itv_instance(shepp_logan(16, 16), 0.25, math.inf, 0)
+    obj = SmoothedObjective(c=1e-2, mu=1e-5, A=inst.A, W=inst.W, b=np.zeros_like(inst.b))
+    schedule = make_schedule(1e-2, 1e-5)
+    state = run_continuation(obj, SolverConfig(precond_mode="exact_banded"), schedule)
+    assert state.converged and state.trace == []
+    assert state.counters == Counters(0, 0, 0, 0) and state.counters.total_matvecs() == 0
+    assert len(grad_calls) == len(schedule.stages)
+
+
+def test_each_record_counts_the_kinks_its_step_crosses(monkeypatch):
+    # coefficients on opposite sides of |.| = mu at x and at x + dx, with
+    # each stage's own mu
+    steps = []
+    search = csnewton.solver.line_search
+
+    def spy(obj, x, y, dx, energy):
+        steps.append((obj, x, dx))
+        return search(obj, x, y, dx, energy)
+
+    monkeypatch.setattr(csnewton.solver, "line_search", spy)
+    state = phantom_continuation(16, 16, 1e-5)
+    assert state.converged and len(steps) == len(state.trace)
+    for rec, (obj, x, dx) in zip(state.trace, steps):
+        y = obj.W.adjoint_apply(x)
+        y_new = y + obj.W.adjoint_apply(dx)
+        assert rec.kinks_crossed == np.count_nonzero((np.abs(y) < obj.mu) != (np.abs(y_new) < obj.mu))
+        assert 0 <= rec.kinks_crossed <= obj.W.cols
+    assert max(rec.kinks_crossed for rec in state.trace) > 0
 
 
 def test_stage_error_carries_index():

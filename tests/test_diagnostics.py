@@ -53,7 +53,7 @@ def record(stage=0, it=1, f=1.0, gnorm=1.0, gnorm_in=1.0, box=1.0, resid=0.0, et
         pcg_iters=3, alpha=1.0, backtracks=0, wall_time=0.0, eta=eta,
         energy=1.0, dual_box=box, accepted=accepted, pcg_converged=converged,
         max_residual_drift=0.0, pcg_residual=resid, precond_mode="none",
-        f_in=f if f_in is None else f_in,
+        f_in=f if f_in is None else f_in, precond_sweeps=0, kinks_crossed=0,
     )
 
 

@@ -34,7 +34,7 @@ def small_instance(rng, n=16, m=10, mu=1e-2, c=0.1, complex_w=False, l=None):
 @pytest.mark.parametrize("field,value", [
     ("eta", 1.0), ("precond_mode", "bogus"), ("eta_schedule", "bogus"),
     ("max_outer", 0), ("max_outer", -1), ("grad_tol", -1.0),
-    ("snapshot_every", -3),
+    ("grad_tol", float("nan")), ("grad_tol", float("inf")), ("snapshot_every", -3),
 ])
 def test_solver_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
