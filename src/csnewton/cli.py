@@ -168,8 +168,9 @@ def parse_config(path) -> Tuple[Dict, SolverConfig]:
     if not (0.0 < cfg["c"] < math.inf and 0.0 < cfg["mu"] < math.inf):
         raise ConfigError(f"c and mu must be positive and finite, "
                           f"got c = {cfg['c']}, mu = {cfg['mu']}")
-    if math.isnan(cfg["target_psnr"]):
-        raise ConfigError("target_psnr must be a number, or inf for noiseless data, got nan")
+    if not cfg["target_psnr"] > -math.inf:  # NaN or -inf; +inf is noiseless
+        raise ConfigError(f"target_psnr must be a number, or inf for noiseless data, "
+                          f"got {cfg['target_psnr']}")
     config = SolverConfig(precond_mode=_PRECOND_MODES[cfg["precond"]],
                           **{key: cfg[key] for key in _SOLVER_KEYS if key in cfg})
     return cfg, config
@@ -213,7 +214,7 @@ def _run_solve(cfg, inst: ProblemInstance, config: SolverConfig) -> tuple:
 
 def write_trace_csv(path, trace) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
         for rec in trace:
             writer.writerow([getattr(rec, name) for name in TRACE_COLUMNS])
@@ -289,7 +290,7 @@ def _cmd_spectrum(args) -> int:
     try:
         with fh:
             state, _ = _run_solve(cfg, inst, dataclasses.replace(config, snapshot_every=args.every))
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["system", "stage", "iter", "index", "raw_lambda", "precond_lambda",
                              "sigma", "delta", "chi", "bound", "bound_kernel", "kernel_residual"])
             for sys_idx, snap in enumerate(state.snapshots):

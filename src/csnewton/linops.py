@@ -64,24 +64,23 @@ class LinearOperator:
     adjoint_apply : callable
         Maps a length-``rows`` vector to a length-``cols`` vector;
         implements the conjugate transpose of ``apply``.
-    fast_analysis_parts, fast_synth_real : callable
-        The real-channel kernels, (Re, Im) of ``adjoint_apply(v)`` for a
-        real v and Re(``apply(p + i q)``) for real p, q.  A dictionary W
-        must supply both, A need not: the smoothed gradient's synthesis,
-        the dual step and the curvature action without a stencil use them.
-        The analysis W* x of a real x, in the objective, its gradient, the
-        line search and the Newton system, is ``adjoint_apply`` itself.
+    fast_synth_real : callable
+        Re(``apply(p + i q)``) for real p, q.  A dictionary W supplies
+        ``apply``, ``adjoint_apply`` and ``fast_synth_real``, and
+        optionally ``curvature_diagonals``; A needs neither kernel.  The
+        analysis of a real v is ``adjoint_apply(v)`` itself, whose real
+        and imaginary parts are its two channels r and i.
     curvature_diagonals : callable, optional
         ``curvature_diagonals(d1, d4, d23)`` returns ``(offsets, diags)``,
         the nonzero upper diagonals of the real symmetric S with
-        S v = fast_synth_real(d1*r + d23*i, d4*i + d23*r), where
-        (r, i) = fast_analysis_parts(v), when S is a stencil of a few
-        diagonals: ``offsets`` is strictly increasing and starts at 0,
-        and row k of ``diags`` holds S[j - offsets[k], j] at column j (the
-        LAPACK band layout, zero for j < offsets[k]).  When present, the
-        Newton system applies S as one sparse product (:func:`stencil_matrix`)
-        instead of the two kernels, and the exact banded preconditioner
-        copies the diagonals into its band; the 2D gradient has it.
+        S v = fast_synth_real(d1*r + d23*i, d4*i + d23*r), when S is a
+        stencil of a few diagonals: ``offsets`` is strictly increasing and
+        starts at 0, and row k of ``diags`` holds S[j - offsets[k], j] at
+        column j (the LAPACK band layout, zero for j < offsets[k]).  When
+        present, the Newton system applies S as one sparse product
+        (:func:`stencil_matrix`) instead of W* and ``fast_synth_real``,
+        and the exact banded preconditioner copies the diagonals into its
+        band; the 2D gradient has it.
     """
 
     rows: int
@@ -95,6 +94,7 @@ class LinearOperator:
     fast_synth_real: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(
         default=None, repr=False
     )
+    # always None; the benchmark's tracer still wraps it by name
     fast_analysis_parts: Optional[Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]] = field(
         default=None, repr=False
     )
@@ -246,7 +246,6 @@ def make_gradient2d(n1: int, n2: int) -> LinearOperator:
         adjoint_apply=lambda x: _grad2d_analysis(x, n1, n2),
         curvature_diagonals=lambda d1, d4, d23: _grad2d_curvature_diagonals(d1, d4, d23, n1, n2),
         fast_synth_real=lambda p, q: _grad2d_synth_channels(p, q, n1, n2),
-        fast_analysis_parts=lambda v: _grad2d_channels(v, n1, n2),
     )
 
 
@@ -338,12 +337,6 @@ def make_dense_dictionary(entries: np.ndarray, field: str = "real") -> LinearOpe
     rows, cols = mat.shape
     adj = mat.conj().T
 
-    def analysis_parts(v):
-        u = adj @ v
-        if field == "real":
-            return u, np.zeros(cols)
-        return np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag)
-
     def synth_real(p, q):
         # a real matrix has no imaginary channel: Re(W (p + i q)) = W p
         return mat @ p if field == "real" else np.real(mat @ (p + 1j * q))
@@ -355,7 +348,6 @@ def make_dense_dictionary(entries: np.ndarray, field: str = "real") -> LinearOpe
         apply=lambda z: mat @ z,
         adjoint_apply=lambda x: adj @ x,
         fast_synth_real=synth_real,
-        fast_analysis_parts=analysis_parts,
     )
 
 

@@ -45,8 +45,8 @@ class SmoothedObjective:
             raise ValueError("regularization weight c must be positive")
         if self.mu <= 0:
             raise ValueError("smoothing parameter mu must be positive")
-        if self.W.fast_analysis_parts is None or self.W.fast_synth_real is None:
-            raise ValueError("dictionary W must supply fast_analysis_parts and fast_synth_real")
+        if self.W.fast_synth_real is None:
+            raise ValueError("dictionary W must supply fast_synth_real")
         if self.A.cols != self.W.rows:
             raise ValueError(
                 f"A acts on length {self.A.cols} but W has {self.W.rows} rows"

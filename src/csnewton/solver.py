@@ -14,10 +14,12 @@ One outer iteration, at the current primal x and the complex dual g
      step passes, x stays put.
 
 Dictionary-domain convention: the analysis channels of a real vector v
-are Re(W* v) and Im(W* v), and the paired synthesis of two real vectors
-(p, q) back to the primal space is Re(W (p + i q)); the complex dual g
-then estimates D * (W* x), whose componentwise modulus is below one by
-construction.  The loop rebinds g to a new array at each step and never
+are the real and imaginary parts of W* v (``adjoint_apply``), and the
+paired synthesis of two real vectors (p, q) back to the primal space is
+Re(W (p + i q)) (``fast_synth_real``); the complex dual g then estimates
+D * (W* x), whose componentwise modulus is below one by construction.
+Each step analyses dx once: the dual step and the line search share
+W* dx.  The loop rebinds g to a new array at each step and never
 writes into it, so a Newton system built at one step stays valid.  The
 dual-coupled matrix and the dual step are the exact linearization of
 the optimality conditions in these channels (cross couplings enter with
@@ -200,8 +202,8 @@ class NewtonSystem:
     When the dictionary has a ``curvature_diagonals`` kernel (the 2D
     gradient), sym(Bt) is assembled once, as a sparse 7-diagonal stencil,
     and each curvature action is one sparse product.  Other dictionaries
-    (dense ones) apply it through their two channel kernels and a
-    diagonal scaling; assembling their S would cost O(n^2 l).
+    (dense ones) apply it as W*, a diagonal scaling and ``fast_synth_real``;
+    assembling their S would cost O(n^2 l).
     """
 
     def __init__(self, obj: SmoothedObjective, x: np.ndarray, g: np.ndarray):
@@ -238,16 +240,18 @@ class NewtonSystem:
         if self._symb is not None:
             return self._symb @ v
         W = self.obj.W
-        rv, iv = W.fast_analysis_parts(v)
+        yv = W.adjoint_apply(v)
+        rv, iv = yv.real, yv.imag
         return W.fast_synth_real(self.d1 * rv + self.d23 * iv, self.d4 * iv + self.d23 * rv)
 
     def bhat_matvec(self, v: np.ndarray) -> np.ndarray:
         A = self.obj.A
         return self.obj.c * self.symb_matvec(v) + A.adjoint_apply(A.apply(v))
 
-    def dual_step(self, dx: np.ndarray) -> np.ndarray:
-        """Affine complex dual increment for a given primal direction."""
-        rdx, idx = self.obj.W.fast_analysis_parts(dx)
+    def dual_step(self, ydx: np.ndarray) -> np.ndarray:
+        """Affine complex dual increment for the primal direction dx whose
+        analysis ``ydx`` = W* dx the caller has formed."""
+        rdx, idx = ydx.real, ydx.imag
         d = self.d
         dg_re = self.d1 * rdx - d * self.b2 * idx - self.g.real + d * self.rx
         dg_im = self.d4 * idx - d * self.b3 * rdx - self.g.imag + d * self.ix
@@ -269,21 +273,22 @@ def line_search(
     x: np.ndarray,
     y: np.ndarray,
     dx: np.ndarray,
+    ydx: np.ndarray,
     energy: float,
 ) -> LineSearchResult:
     """Least j in [0, MAX_BACKTRACKS] with f(x + TAU1^j dx) <= f(x) - TAU2 TAU1^j energy.
 
-    ``y`` is the cached analysis W* x and ``energy`` the quadratic form
-    dx^T Bhat dx (not its square root).  After one W* and two A actions
-    the sufficient-decrease test is evaluated from the transforms of x and
-    dx, so each trial costs O(l + m) flops and no operator calls.
+    ``y`` and ``ydx`` are the analyses W* x and W* dx, which the caller
+    has formed, and ``energy`` the quadratic form dx^T Bhat dx (not its
+    square root).  After two A actions the sufficient-decrease test is
+    evaluated from the transforms of x and dx, so each trial costs
+    O(l + m) flops and no operator calls.
     ``f_x`` is f(x) itself.  Exhaustion returns ``alpha = 0`` and
     ``f_new = f(x)`` with ``accepted=False``: a step that fails the test
     is never taken.  ``kinks_crossed`` counts the analysis coefficients
     on opposite sides of |.| = mu at x and at x + dx, an observable of
     where the smoothed objective bends along the step.
     """
-    ydx = obj.W.adjoint_apply(dx)
     r = obj.A.apply(x) - obj.b
     rdx = obj.A.apply(dx)
     kinks = int(np.count_nonzero((np.abs(y) < obj.mu) != (np.abs(y + ydx) < obj.mu)))
@@ -353,11 +358,12 @@ def solve_subproblem(
         energy = float(dx @ bdx)
         pcg_residual = float(np.linalg.norm(bdx + grad))
 
-        state.g = project_linf(state.g + system.dual_step(dx))
+        ydx = obj.W.adjoint_apply(dx)  # shared by the dual step and the line search
+        state.g = project_linf(state.g + system.dual_step(ydx))
         dual_box = float(np.max(np.abs(state.g))) if state.g.size else 0.0
 
-        ls = line_search(obj, state.x, system.y, dx, energy)
-        del system  # one system alive at a time: the next is built without this one
+        ls = line_search(obj, state.x, system.y, dx, ydx, energy)
+        del system, ydx  # the next system is built without this one or its W* dx
 
         if ls.accepted:  # a rejected step leaves x, and so grad, as they were
             state.x = state.x + ls.alpha * dx

@@ -138,6 +138,8 @@ def test_solve_command_outputs(tmp_path):
     assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
     assert (out_dir / "reconstruction.pgm").exists()
     assert (out_dir / "metrics.txt").exists()
+    # rows end in "\n", so line tools see the last column's name as it is
+    assert b"\r" not in (out_dir / "trace.csv").read_bytes()
     with open(out_dir / "trace.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == cli.TRACE_COLUMNS
@@ -355,6 +357,7 @@ def test_solve_config_error_creates_no_out_dir(tmp_path, capsys, setting):
 @pytest.mark.parametrize("setting, named", [
     ("grad_tol = nan", "grad_tol"), ("grad_tol = inf", "grad_tol"), ("c = inf", "c = inf"),
     ("mu = inf", "mu = inf"), ("target_psnr = nan", "target_psnr"),
+    ("target_psnr = -inf", "target_psnr"),
 ])
 def test_solve_rejects_nonfinite_settings(tmp_path, capsys, setting, named):
     # each would otherwise run a solve: to max_outer (grad_tol = nan), to
@@ -439,6 +442,7 @@ def test_spectrum_command(tmp_path):
     cfg.write_text(SOLVE_CONFIG)
     out = tmp_path / "spec.csv"
     assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out), "--every", "3"]) == 0
+    assert b"\r" not in out.read_bytes()
     with open(out) as fh:
         rows = list(csv.reader(fh))
     header = rows[0]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -327,9 +328,9 @@ def test_each_record_counts_the_kinks_its_step_crosses(monkeypatch):
     steps = []
     search = csnewton.solver.line_search
 
-    def spy(obj, x, y, dx, energy):
+    def spy(obj, x, y, dx, ydx, energy):
         steps.append((obj, x, dx))
-        return search(obj, x, y, dx, energy)
+        return search(obj, x, y, dx, ydx, energy)
 
     monkeypatch.setattr(csnewton.solver, "line_search", spy)
     state = phantom_continuation(16, 16, 1e-5)
@@ -340,6 +341,34 @@ def test_each_record_counts_the_kinks_its_step_crosses(monkeypatch):
         assert rec.kinks_crossed == np.count_nonzero((np.abs(y) < obj.mu) != (np.abs(y_new) < obj.mu))
         assert 0 <= rec.kinks_crossed <= obj.W.cols
     assert max(rec.kinks_crossed for rec in state.trace) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mode", ["none", "truncated_cg", "exact_banded"])
+def test_each_step_analyses_its_direction_once(mode, seed):
+    # per step: W* x for the Newton system and W* dx, shared by the dual
+    # step and the line search; per accepted step and per call that steps:
+    # W* x for the gradient (the TV curvature is a stencil, not W*)
+    calls = []
+
+    def spy(kernel):
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+        return counted
+
+    inst = make_itv_instance(shepp_logan(16, 16), 0.25, math.inf, seed)
+    kernels = {"adjoint_apply": spy(inst.W.adjoint_apply)}
+    if inst.W.fast_analysis_parts is not None:
+        kernels["fast_analysis_parts"] = spy(inst.W.fast_analysis_parts)
+    W = replace(inst.W, **kernels)
+    obj = SmoothedObjective(c=1e-2, mu=1e-5, A=inst.A, W=W, b=inst.b)
+    state = run_continuation(obj, SolverConfig(precond_mode=mode), make_schedule(1e-2, 1e-5))
+    assert state.converged
+    steps = len(state.trace)
+    accepted = sum(r.accepted for r in state.trace)
+    stepping_calls = sum(r.outer_iter == 1 for r in state.trace)
+    assert len(calls) == 2 * steps + accepted + stepping_calls
 
 
 def test_stage_error_carries_index():

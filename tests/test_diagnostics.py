@@ -128,10 +128,10 @@ def test_continuation_passes_the_invariants_in_every_mode(mode, seed, monkeypatc
         ops.append(op)
         return pcg(op, *args, **kwargs)
 
-    def search_spy(obj, x, y, dx, energy):
+    def search_spy(obj, x, y, dx, ydx, energy):
         explicit = float(dx @ ops[-1](dx))
         gaps.append(abs(energy - explicit) / max(1.0, abs(explicit)))
-        return search(obj, x, y, dx, energy)
+        return search(obj, x, y, dx, ydx, energy)
 
     monkeypatch.setattr(solver, "pcg_solve", pcg_spy)
     monkeypatch.setattr(solver, "line_search", search_spy)

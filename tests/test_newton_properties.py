@@ -54,7 +54,7 @@ def test_bhat_matvec_is_positive_definite(case):
 @given(CASES)
 def test_dual_step_vanishes_at_central_duals(case):
     obj, x, _ = tv_point(*case)
-    dg = NewtonSystem.at_central_duals(obj, x).dual_step(np.zeros(obj.n))
+    dg = NewtonSystem.at_central_duals(obj, x).dual_step(np.zeros(obj.W.cols))
     assert np.max(np.abs(dg.real)) <= 1e-14 and np.max(np.abs(dg.imag)) <= 1e-14
 
 

@@ -67,7 +67,8 @@ def matrix_free_symb(system):
     W = system.obj.W
 
     def action(v):
-        r, i = W.fast_analysis_parts(v)
+        u = W.adjoint_apply(v)
+        r, i = u.real, u.imag
         return W.fast_synth_real(system.d1 * r + system.d23 * i, system.d4 * i + system.d23 * r)
 
     return dense_columns(action, system.obj.n)
@@ -376,8 +377,7 @@ def test_spectrum_rejects_large_n():
     # a zero dictionary without dense storage reaches the size check cheaply
     zeros = np.zeros(5000)
     W = LinearOperator(rows=5000, cols=5000, field="real", apply=lambda v: zeros,
-                       adjoint_apply=lambda x: zeros, fast_synth_real=lambda p, q: zeros,
-                       fast_analysis_parts=lambda v: (zeros, zeros))
+                       adjoint_apply=lambda x: zeros, fast_synth_real=lambda p, q: zeros)
     big = SmoothedObjective(c=0.1, mu=1e-2, A=make_dense_dictionary(np.zeros((1, 5000))), W=W,
                             b=np.zeros(1))
     with pytest.raises(ValueError):

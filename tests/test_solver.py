@@ -116,7 +116,7 @@ def test_dual_step_fixed_point_at_central_duals():
     rng = np.random.default_rng(3)
     obj = small_instance(rng, complex_w=True)
     system = NewtonSystem.at_central_duals(obj, rng.standard_normal(obj.n))
-    dg = system.dual_step(np.zeros(obj.n))
+    dg = system.dual_step(np.zeros(obj.W.cols))
     assert np.max(np.abs(dg.real)) <= 1e-14
     assert np.max(np.abs(dg.imag)) <= 1e-14
 
@@ -128,15 +128,29 @@ def test_dual_step_zero_point_identity_dictionary():
     obj = SmoothedObjective(c=1.0, mu=mu, A=A, W=W, b=np.zeros(2))
     state = fresh_state(obj)
     dx = np.array([0.3, -0.1, 0.7])
-    dg = NewtonSystem(obj, state.x, state.g).dual_step(dx)
+    dg = NewtonSystem(obj, state.x, state.g).dual_step(W.adjoint_apply(dx))
     np.testing.assert_allclose(dg.real, dx / mu, rtol=1e-14)
     np.testing.assert_array_equal(dg.imag, np.zeros(3))
 
 
-def test_dual_step_matches_dense_formula():
+def gradient_instance(rng, n1=6, n2=4, m=10, mu=1e-2, c=0.1):
+    n = n1 * n2
+    A = make_dense_dictionary(rng.standard_normal((m, n)) / np.sqrt(n))
+    b = A.apply(rng.standard_normal(n))
+    return SmoothedObjective(c=c, mu=mu, A=A, W=make_gradient2d(n1, n2), b=b)
+
+
+DUAL_STEP_INSTANCES = {
+    "dense_complex": lambda rng: small_instance(rng, n=16, complex_w=True),
+    "grad6x4": gradient_instance,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DUAL_STEP_INSTANCES))
+def test_dual_step_matches_dense_formula(kind):
     # dense evaluation of the linearized dual update at a generic point
     rng = np.random.default_rng(4)
-    obj = small_instance(rng, n=16, complex_w=True)
+    obj = DUAL_STEP_INSTANCES[kind](rng)
     x = rng.standard_normal(obj.n)
     dx = rng.standard_normal(obj.n)
     g = project_linf(rng.standard_normal(obj.W.cols) + 1j * rng.standard_normal(obj.W.cols))
@@ -156,9 +170,13 @@ def test_dual_step_matches_dense_formula():
     expect_re = d * (1 - b1) * (p @ dx) - d * b2 * (q @ dx) - g_re + d * a
     expect_im = d * (1 - b4) * (q @ dx) - d * b3 * (p @ dx) - g_im + d * b
 
-    dg = system.dual_step(dx)
+    dg = system.dual_step(obj.W.adjoint_apply(dx))
     np.testing.assert_allclose(dg.real, expect_re, rtol=1e-11, atol=1e-12)
     np.testing.assert_allclose(dg.imag, expect_im, rtol=1e-11, atol=1e-12)
+    # the same update in complex arithmetic, sharing no channel code
+    ydx = wd.conj().T @ dx
+    expect = d * (y + ydx) - g * (1 + d**2 * np.real(np.conj(y) * ydx))
+    np.testing.assert_allclose(dg, expect, rtol=1e-11, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +198,7 @@ def test_line_search_exact_newton_on_quadratic():
     grad = a_mat.T @ (a_mat @ x - b)
     dx = np.linalg.solve(h, -grad)
     energy = dx @ (h @ dx)
-    res = line_search(obj, x, W.adjoint_apply(x), dx, energy)
+    res = line_search(obj, x, W.adjoint_apply(x), dx, W.adjoint_apply(dx), energy)
     assert res.accepted and res.backtracks == 0 and res.alpha == 1.0
 
 
@@ -188,7 +206,7 @@ def test_line_search_zero_direction_degenerate():
     rng = np.random.default_rng(6)
     obj = small_instance(rng)
     x = rng.standard_normal(obj.n)
-    res = line_search(obj, x, obj.W.adjoint_apply(x), np.zeros(obj.n), 0.0)
+    res = line_search(obj, x, obj.W.adjoint_apply(x), np.zeros(obj.n), np.zeros(obj.W.cols), 0.0)
     assert res.accepted and res.backtracks == 0 and res.alpha == 1.0
 
 
@@ -201,7 +219,7 @@ def test_line_search_exhaustion_flagged():
     from csnewton.smoothing import objective_grad
 
     up = objective_grad(obj, x)
-    res = line_search(obj, x, obj.W.adjoint_apply(x), up, energy=1.0)
+    res = line_search(obj, x, obj.W.adjoint_apply(x), up, obj.W.adjoint_apply(up), energy=1.0)
     assert not res.accepted
     assert res.backtracks == MAX_BACKTRACKS
     assert res.alpha == 0.0
