@@ -6,9 +6,11 @@ Subcommands:
   spectrum  dense eigenvalue export for the Newton systems of a solve
   check     run the built-in verification suites
 
-Exit codes: 0 success, 1 failed checks, 2 bad usage (a bad config or
-argument, an unreadable input or an unwritable output) or a solve that
-aborted or did not converge; an error is one ``error:`` line on stderr.
+Exit codes: 0 success, 1 failed checks (``check``, or a converged ``solve``
+whose trace fails the solver invariants, after its outputs are written),
+2 bad usage (a bad config or argument, an unreadable input or an
+unwritable output) or a solve that aborted or did not converge; an error
+is one ``error:`` line on stderr.
 Images are binary PGM (P5), 8- or 16-bit on read and 8-bit on write, where
 internal [0, 1] values are quantized with round(255*v).
 """
@@ -165,23 +167,21 @@ def parse_config(path) -> Tuple[Dict, SolverConfig]:
         raise ConfigError("continuation must be 'on' or 'off'")
     if not 0.0 < cfg["sampling_ratio"] <= 1.0:
         raise ConfigError(f"sampling_ratio must lie in (0, 1], got {cfg['sampling_ratio']}")
-    if not (0.0 < cfg["c"] < math.inf and 0.0 < cfg["mu"] < math.inf):
-        raise ConfigError(f"c and mu must be positive and finite, "
-                          f"got c = {cfg['c']}, mu = {cfg['mu']}")
-    if not cfg["target_psnr"] > -math.inf:  # NaN or -inf; +inf is noiseless
-        raise ConfigError(f"target_psnr must be a number, or inf for noiseless data, "
-                          f"got {cfg['target_psnr']}")
+    # NaN fails; from 6165.09 dB = 20 log10(DBL_MAX) up, 10 ** (target / 20) overflows
+    target = cfg["target_psnr"]
+    if not (-math.inf < target < 20.0 * math.log10(sys.float_info.max) or target == math.inf):
+        raise ConfigError(f"target_psnr must be a number below 6165.09 dB, or inf for noiseless "
+                          f"data, got {target}")
     config = SolverConfig(precond_mode=_PRECOND_MODES[cfg["precond"]],
                           **{key: cfg[key] for key in _SOLVER_KEYS if key in cfg})
     return cfg, config
 
 
-def _build_problem(cfg):
+def _build_problem(cfg) -> ProblemInstance:
     if cfg["problem"] == "itv":
         phantom = cfg["image"] == "phantom"
         image = shepp_logan(cfg["size"], cfg["size"]) if phantom else read_pgm(cfg["image"])
-        inst = make_itv_instance(image, cfg["sampling_ratio"], cfg["target_psnr"], cfg["seed"])
-        return inst, image
+        return make_itv_instance(image, cfg["sampling_ratio"], cfg["target_psnr"], cfg["seed"])
     # l1-dense: a random Parseval frame W (n x 2n, W W* = I) and a Gaussian signal,
     # whose analysis W* x is dense; it tests convergence, not recovery
     rng = np.random.default_rng(cfg["seed"])
@@ -193,20 +193,26 @@ def _build_problem(cfg):
     A = make_dense_dictionary(rng.standard_normal((m, n)) / math.sqrt(n), field="real")
     x_true = rng.standard_normal(n)
     b = A.apply(x_true)
-    inst = ProblemInstance(A=A, W=W, b=b, ground_truth=x_true, n1=n, n2=1)
-    return inst, None
+    return ProblemInstance(A=A, W=W, b=b, ground_truth=x_true, n1=n, n2=1)
 
 
-def _run_solve(cfg, inst: ProblemInstance, config: SolverConfig) -> tuple:
-    """Solve the built problem; returns the final state and the wall time.
-    Any error of the solve raises SolveAborted."""
+def _build_solve(cfg) -> tuple:
+    """The instance, the objective at the target (c, mu) and the continuation
+    schedule (None when off); a bad setting raises before any file is made."""
+    inst = _build_problem(cfg)
     obj = SmoothedObjective(c=cfg["c"], mu=cfg["mu"], A=inst.A, W=inst.W, b=inst.b)
+    return inst, obj, make_schedule(cfg["c"], cfg["mu"]) if cfg["continuation"] == "on" else None
+
+
+def _run_solve(obj, schedule, config: SolverConfig, on_system=None) -> tuple:
+    """Solve, by continuation if there is a ``schedule``; returns the final
+    state and the wall time.  Any error of the solve raises SolveAborted."""
     t0 = time.perf_counter()
     try:
-        if cfg["continuation"] == "on":
-            state = run_continuation(obj, config, make_schedule(cfg["c"], cfg["mu"]))
+        if schedule is not None:
+            state = run_continuation(obj, config, schedule, on_system=on_system)
         else:
-            state = solve_subproblem(obj, config)
+            state = solve_subproblem(obj, config, on_system=on_system)
     except Exception as exc:
         raise SolveAborted(f"solve aborted: {exc}") from exc
     return state, time.perf_counter() - t0
@@ -243,19 +249,19 @@ def _cmd_phantom(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg, config = parse_config(args.config)
-    inst, image = _build_problem(cfg)
+    inst, obj, schedule = _build_solve(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    state, elapsed = _run_solve(cfg, inst, config)
+    state, elapsed = _run_solve(obj, schedule, config)
 
     lines = [f"converged = {state.converged}", f"wall_time_s = {elapsed:.3f}",
              f"total_matvecs = {state.counters.total_matvecs()}"]
-    if image is not None:
+    if cfg["problem"] == "itv":
         recon = state.x.reshape((inst.n1, inst.n2), order="F")
         write_pgm(out_dir / "reconstruction.pgm", recon)
         lines.append(f"psnr_db = {psnr(recon, inst.ground_truth):.4f}")
         lines.append(f"relative_error = {relative_error(recon.ravel(), inst.ground_truth.ravel()):.6e}")
-    elif inst.ground_truth is not None:
+    else:
         lines.append(f"relative_error = {relative_error(state.x, inst.ground_truth):.6e}")
     # one line per continuation stage that took a step, from the trace
     for stage, recs in itertools.groupby(state.trace, key=lambda rec: rec.stage):
@@ -270,7 +276,7 @@ def _cmd_solve(args) -> int:
     write_trace_csv(out_dir / "trace.csv", state.trace)
     (out_dir / "metrics.txt").write_text("\n".join(lines) + "\n")
     _say("\n".join(lines))
-    return 0 if state.converged else 2
+    return 2 if not state.converged else 0 if invariants.passed else 1
 
 
 def _cmd_spectrum(args) -> int:
@@ -279,27 +285,33 @@ def _cmd_spectrum(args) -> int:
         raise ValueError(f"--every must be >= 1, got {args.every}")
     if args.nu is not None and not 0.0 < args.nu < math.inf:
         raise ValueError(f"--nu must be positive and finite, got {args.nu}")
-    nu = args.nu if args.nu is not None else 0.5 / cfg["mu"]
-    inst, _ = _build_problem(cfg)
+    inst, obj, schedule = _build_solve(cfg)
+    nu = args.nu if args.nu is not None else 0.5 / cfg["mu"]  # the build rejected mu = 0
     # the size of the problem actually built: a PGM image sets its own
     if inst.A.cols > 4096:
         raise ValueError(f"spectrum needs n <= 4096, got {inst.A.cols}")
+
+    systems = []
+
+    def keep(stage: int, k: int, system) -> None:
+        if k % args.every == 0:
+            systems.append((stage, k, system))
 
     out = Path(args.out)
     fh = open(out, "w", newline="")  # an unwritable --out fails here, before the solve
     try:
         with fh:
-            state, _ = _run_solve(cfg, inst, dataclasses.replace(config, snapshot_every=args.every))
+            _run_solve(obj, schedule, config, on_system=keep)
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["system", "stage", "iter", "index", "raw_lambda", "precond_lambda",
                              "sigma", "delta", "chi", "bound", "bound_kernel", "kernel_residual"])
-            for sys_idx, snap in enumerate(state.snapshots):
-                rep = spectrum_report(snap.system, nu)
+            for sys_idx, (stage, k, system) in enumerate(systems):
+                rep = spectrum_report(system, nu)
                 for i, (raw, pre, kres) in enumerate(
                     zip(rep.raw_eigs, rep.precond_eigs, rep.kernel_residuals)
                 ):
                     writer.writerow(
-                        [sys_idx, snap.stage, snap.outer_iter, i, f"{raw:.10e}", f"{pre:.10e}",
+                        [sys_idx, stage, k, i, f"{raw:.10e}", f"{pre:.10e}",
                          rep.sigma, f"{rep.delta:.6e}", f"{rep.chi:.6e}",
                          f"{rep.bound:.6e}", f"{rep.bound_kernel:.6e}", f"{kres:.6e}"]
                     )
@@ -309,14 +321,14 @@ def _cmd_spectrum(args) -> int:
         if out.is_file() and not out.is_symlink():
             out.unlink()
         raise
-    _say(f"wrote spectra of {len(state.snapshots)} systems to {args.out}")
+    _say(f"wrote spectra of {len(systems)} systems to {args.out}")
     return 0
 
 
-def _default_check_instance(n1=8, n2=8, seed=7, mu=1e-2, c=1e-1):
-    image = shepp_logan(16, 16)[4 : 4 + n1, 4 : 4 + n2]
-    inst = make_itv_instance(image, 0.5, math.inf, seed)
-    return SmoothedObjective(c=c, mu=mu, A=inst.A, W=inst.W, b=inst.b)
+def _default_check_instance() -> SmoothedObjective:
+    image = shepp_logan(16, 16)[4:12, 4:12]
+    inst = make_itv_instance(image, 0.5, math.inf, seed=7)
+    return SmoothedObjective(c=1e-1, mu=1e-2, A=inst.A, W=inst.W, b=inst.b)
 
 
 def _cmd_check(args) -> int:
@@ -354,7 +366,8 @@ def _cmd_check(args) -> int:
         for seed in (0, 1):
             cfg = dict(_DEFAULTS, size=32, seed=seed)
             defaults = SolverConfig(precond_mode=_PRECOND_MODES[cfg["precond"]])
-            state, _ = _run_solve(cfg, _build_problem(cfg)[0], defaults)
+            _, obj_seed, schedule = _build_solve(cfg)
+            state, _ = _run_solve(obj_seed, schedule, defaults)
             traces[f"phantom32_seed{seed}"] = state.trace
         for name, trace in traces.items():
             tail = diagnostics.rate_probe(trace)[-3:]
@@ -385,7 +398,8 @@ def main(argv=None) -> int:
     p_spec.add_argument("--config", type=str, required=True)
     p_spec.add_argument("--nu", type=float, default=None)
     p_spec.add_argument("--out", type=str, required=True)
-    p_spec.add_argument("--every", type=int, default=1, help="snapshot every k-th system")
+    p_spec.add_argument("--every", type=int, default=1,
+                        help="export the systems of steps 0, k, 2k, ... of each stage")
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_check = sub.add_parser("check", help="run verification suites")

@@ -58,12 +58,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .smoothing import SmoothedObjective
-from .solver import SolverConfig, SolverState, solve_subproblem
+from .solver import NewtonSystem, SolverConfig, SolverState, solve_subproblem
 
 __all__ = [
     "ContinuationSchedule",
@@ -153,7 +153,7 @@ def run_continuation(
     obj_targets: SmoothedObjective,
     config: SolverConfig,
     schedule: ContinuationSchedule,
-    init: Optional[SolverState] = None,
+    on_system: Optional[Callable[[int, int, NewtonSystem], None]] = None,
 ) -> SolverState:
     """Solve every stage of ``schedule.plan(config)``, warm-starting each
     from the previous solution.
@@ -165,16 +165,17 @@ def run_continuation(
     to ``min(eta, FACTORED_ETA)``.  On the 128x128 phantom this takes
     24 outer / 372 PCG iterations where stages run to a 1e-3 gradient
     tolerance take 44 / 1243 (see the module docstring for the ladder).
-    The returned state holds the concatenated trace with a stage column.
+    The returned state holds the concatenated trace with a stage column;
+    each stage's ``solve_subproblem`` gets ``on_system``.
     """
-    state = init
+    state = None
     for j, stage in enumerate(schedule.plan(config)):
         obj_j = replace(obj_targets, c=stage.c, mu=stage.mu)
         config_j = replace(
             config, precond_mode=stage.precond_mode, max_outer=stage.max_outer, eta=stage.eta
         )
         try:  # solve_subproblem projects the warm-start duals
-            state = solve_subproblem(obj_j, config_j, init=state, stage=j)
+            state = solve_subproblem(obj_j, config_j, init=state, stage=j, on_system=on_system)
         except Exception as exc:  # noqa: BLE001 - annotate and re-raise
             raise StageError(j, exc) from exc
     return state

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -43,7 +42,7 @@ class ProblemInstance:
     A: LinearOperator
     W: LinearOperator
     b: np.ndarray
-    ground_truth: Optional[np.ndarray]
+    ground_truth: np.ndarray
     n1: int
     n2: int
 

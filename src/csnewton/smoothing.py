@@ -41,10 +41,9 @@ class SmoothedObjective:
     b: np.ndarray
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("regularization weight c must be positive")
-        if self.mu <= 0:
-            raise ValueError("smoothing parameter mu must be positive")
+        for name, value in (("c", self.c), ("mu", self.mu)):
+            if not 0.0 < value < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {name} = {value}")
         if self.W.fast_synth_real is None:
             raise ValueError("dictionary W must supply fast_synth_real")
         if self.A.cols != self.W.rows:

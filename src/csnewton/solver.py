@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "IterationRecord",
-    "SystemSnapshot",
     "LineSearchResult",
     "NewtonSystem",
     "project_linf",
@@ -80,11 +79,10 @@ class SolverConfig:
     max_outer: int = 100
     precond_mode: str = "none"  # none | exact_banded | truncated_cg
     eta_schedule: str = "fixed"  # fixed | decreasing
-    snapshot_every: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError("eta must lie in [0, 1)")
+        if not 0.0 < self.eta < 1.0:  # PCG never certifies a zero residual
+            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
         if self.precond_mode not in ("none", "exact_banded", "truncated_cg"):
             raise ValueError(f"unknown precond_mode {self.precond_mode!r}")
         if self.eta_schedule not in ("fixed", "decreasing"):
@@ -93,8 +91,6 @@ class SolverConfig:
             raise ValueError("max_outer must be >= 1")
         if not 0.0 <= self.grad_tol < np.inf:
             raise ValueError(f"grad_tol must be nonnegative and finite, got {self.grad_tol}")
-        if self.snapshot_every < 0:
-            raise ValueError("snapshot_every must be nonnegative")
 
 
 @dataclass
@@ -119,16 +115,6 @@ class IterationRecord:
     f_in: float  # f at the iterate the step started from
     precond_sweeps: int  # inner CG sweeps of the step's preconditioner (truncated_cg only)
     kinks_crossed: int  # coefficients whose |W* x| crosses mu along the full step dx
-
-
-@dataclass
-class SystemSnapshot:
-    """The Newton system one outer iteration built; the loop rebinds x and
-    the duals and never writes into them, so the system stays valid."""
-
-    stage: int
-    outer_iter: int
-    system: NewtonSystem
 
 
 @dataclass(frozen=True)
@@ -163,7 +149,6 @@ class SolverState:
     x: np.ndarray
     g: np.ndarray
     trace: List[IterationRecord] = field(default_factory=list)
-    snapshots: List[SystemSnapshot] = field(default_factory=list)
     converged: bool = False
 
     @property
@@ -319,6 +304,7 @@ def solve_subproblem(
     config: SolverConfig,
     init: Optional[SolverState] = None,
     stage: int = 0,
+    on_system: Optional[Callable[[int, int, NewtonSystem], None]] = None,
 ) -> SolverState:
     """Run the Newton loop on one (c, mu) subproblem until the gradient
     norm drops below grad_tol * max(1, initial gradient norm), or the
@@ -326,8 +312,8 @@ def solve_subproblem(
 
     The incoming duals are re-projected onto the unit box, so warm starts
     from a previous subproblem are always admissible.  The steps of each
-    call are numbered from 1 (records) and from 0 (snapshots), whatever
-    the trace of ``init`` already holds.
+    call are numbered from 1, whatever the trace of ``init`` already holds;
+    ``on_system(stage, k, system)`` sees the Newton system of step k + 1.
     """
     state = init if init is not None else fresh_state(obj)
     state.g = project_linf(state.g)
@@ -342,8 +328,8 @@ def solve_subproblem(
         t0 = time.perf_counter()
         gnorm_in = gnorm
         system = NewtonSystem(obj, state.x, state.g)
-        if config.snapshot_every > 0 and k % config.snapshot_every == 0:
-            state.snapshots.append(SystemSnapshot(stage, k, system))
+        if on_system is not None:
+            on_system(stage, k, system)
         pre = build_for_system(system, config.precond_mode, pre)
         eta_k = config.eta
         if config.eta_schedule == "decreasing":

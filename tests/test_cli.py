@@ -270,9 +270,9 @@ def test_solve_passes_the_keys_it_sets_to_the_solver(tmp_path, monkeypatch):
     configs = []
     run = cli.run_continuation
 
-    def spy(obj, config, schedule):
+    def spy(obj, config, schedule, **kwargs):
         configs.append(config)
-        return run(obj, config, schedule)
+        return run(obj, config, schedule, **kwargs)
 
     monkeypatch.setattr(cli, "run_continuation", spy)
     cfg = tmp_path / "solve.cfg"
@@ -343,7 +343,7 @@ def test_solve_rejects_nonpositive_max_outer(tmp_path, capsys):
     assert "max_outer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["max_outer = 0", "mu = 0", "size = 8"])
+@pytest.mark.parametrize("setting", ["max_outer = 0", "mu = 0", "size = 8", "eta = 0"])
 def test_solve_config_error_creates_no_out_dir(tmp_path, capsys, setting):
     # a bad solver, objective or problem setting is reported before --out-dir exists
     cfg = tmp_path / "bad.cfg"
@@ -357,7 +357,7 @@ def test_solve_config_error_creates_no_out_dir(tmp_path, capsys, setting):
 @pytest.mark.parametrize("setting, named", [
     ("grad_tol = nan", "grad_tol"), ("grad_tol = inf", "grad_tol"), ("c = inf", "c = inf"),
     ("mu = inf", "mu = inf"), ("target_psnr = nan", "target_psnr"),
-    ("target_psnr = -inf", "target_psnr"),
+    ("target_psnr = -inf", "target_psnr"), ("target_psnr = 10000", "target_psnr"),
 ])
 def test_solve_rejects_nonfinite_settings(tmp_path, capsys, setting, named):
     # each would otherwise run a solve: to max_outer (grad_tol = nan), to
@@ -368,6 +368,44 @@ def test_solve_rejects_nonfinite_settings(tmp_path, capsys, setting, named):
     assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
     assert_one_error_line(capsys.readouterr().err, named)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("setting, named", [
+    ("mu = 0", "mu = 0.0"), ("c = inf", "c = inf"), ("mu = inf", "mu = inf"),
+    ("c = nan", "c = nan"), ("eta = 0", "eta"), ("target_psnr = 10000", "target_psnr"),
+])
+def test_bad_setting_makes_no_file(tmp_path, capsys, setting, named):
+    # the objective checks c and mu, the solver config eta, and the config
+    # reader target_psnr; each before solve or spectrum makes a file
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SOLVE_CONFIG + f"\n{setting}\n")
+    out_dir, out = tmp_path / "fresh", tmp_path / "s.csv"
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert_one_error_line(capsys.readouterr().err, named)
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    assert_one_error_line(capsys.readouterr().err, named)
+    assert not out_dir.exists() and not out.exists()
+
+
+def test_solve_exits_1_when_its_trace_fails_the_invariants(tmp_path, capsys, monkeypatch):
+    from csnewton import diagnostics
+    from csnewton.diagnostics import InvariantReport
+
+    def corrupted(trace):
+        rep = InvariantReport(checked_records=len(trace))
+        rep.violations.append("stage 0 iter 1: dual box violated, |g|_inf = 1.5")
+        return rep
+
+    monkeypatch.setattr(diagnostics, "check_solver_invariants", corrupted)
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(SOLVE_CONFIG)
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    # a converged solve writes all its outputs first
+    assert "converged = True" in capsys.readouterr().out
+    metrics = (out / "metrics.txt").read_text()
+    assert "invariants = fail (1 violations)" in metrics
+    assert (out / "trace.csv").exists() and (out / "reconstruction.pgm").exists()
 
 
 def test_solve_missing_config(tmp_path):
@@ -394,7 +432,7 @@ def test_solve_rejects_out_dir_that_is_a_file(tmp_path, capsys):
 def test_solve_aborts_when_the_solver_raises(tmp_path, capsys, monkeypatch):
     # a config error never says "solve aborted" (above); a solver failure
     # always does, with the solver's own message
-    def broken(obj, config, schedule):
+    def broken(obj, config, schedule, **kwargs):
         raise FloatingPointError("non-finite PCG residual")
 
     monkeypatch.setattr(cli, "run_continuation", broken)
@@ -508,7 +546,7 @@ def test_spectrum_checks_out_before_the_solve(tmp_path, capsys, monkeypatch):
 
 
 def test_spectrum_aborted_solve_leaves_no_csv(tmp_path, capsys, monkeypatch):
-    def broken(obj, config, schedule):
+    def broken(obj, config, schedule, **kwargs):
         raise FloatingPointError("non-finite PCG residual")
 
     monkeypatch.setattr(cli, "run_continuation", broken)
@@ -552,6 +590,24 @@ def test_spectrum_rejects_large_problem(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+def test_spectrum_exports_every_kth_step_of_each_stage(tmp_path):
+    # the systems are numbered 0, 1, ... in the order the solve built them,
+    # and are those of the steps k = outer_iter - 1 with k % --every == 0
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(SOLVE_CONFIG)
+    out = tmp_path / "spec.csv"
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out), "--every", "2"]) == 0
+    with open(out) as fh:
+        triples = [(int(r["system"]), int(r["stage"]), int(r["iter"])) for r in csv.DictReader(fh)]
+    systems = list(dict.fromkeys(triples))
+    assert [idx for idx, _, _ in systems] == list(range(len(systems)))
+    assert run_cli(["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "trace.csv") as fh:
+        steps = [(int(r["stage"]), int(r["outer_iter"]) - 1) for r in csv.DictReader(fh)]
+    assert len({stage for stage, _ in steps}) > 1
+    assert [(stage, k) for _, stage, k in systems] == [(s, k) for s, k in steps if k % 2 == 0]
+
+
 # check command
 # ---------------------------------------------------------------------------
 

@@ -47,7 +47,7 @@ def l1_dense_instance():
     """The CLI's l1-dense instance at its defaults (n = 64, seed 0: a dense
     Parseval frame, so the curvature is applied matrix-free), c = 1e-2,
     mu = 1e-3, and its L-BFGS-B minimizer (about 260 iterations)."""
-    inst, _ = cli._build_problem(dict(cli._DEFAULTS, problem="l1-dense"))
+    inst = cli._build_problem(dict(cli._DEFAULTS, problem="l1-dense"))
     assert inst.W.curvature_diagonals is None
     return with_lbfgsb_minimizer(SmoothedObjective(c=1e-2, mu=1e-3, A=inst.A, W=inst.W, b=inst.b))
 

@@ -114,6 +114,18 @@ def test_objective_dimension_validation():
         SmoothedObjective(c=1.0, mu=1.0, A=W, W=A, b=np.zeros(3))
 
 
+@pytest.mark.parametrize("c, mu, named", [
+    (0.0, 1.0, "c = 0.0"), (-1.0, 1.0, "c = -1.0"), (np.inf, 1.0, "c = inf"),
+    (np.nan, 1.0, "c = nan"), (1.0, 0.0, "mu = 0.0"), (1.0, np.inf, "mu = inf"),
+    (1.0, np.nan, "mu = nan"),
+])
+def test_objective_rejects_c_and_mu_not_positive_and_finite(c, mu, named):
+    A = make_dense_dictionary(np.ones((2, 3)))
+    W = make_dense_dictionary(np.ones((3, 4)))
+    with pytest.raises(ValueError, match=f"positive and finite, got {named}$"):
+        SmoothedObjective(c=c, mu=mu, A=A, W=W, b=np.zeros(2))
+
+
 def test_objective_rejects_dictionary_without_kernels():
     # the smoothed term and the Newton system synthesize through W's real
     # channel kernel; the measurement operator A need not have it

@@ -34,7 +34,7 @@ def small_instance(rng, n=16, m=10, mu=1e-2, c=0.1, complex_w=False, l=None):
 @pytest.mark.parametrize("field,value", [
     ("eta", 1.0), ("precond_mode", "bogus"), ("eta_schedule", "bogus"),
     ("max_outer", 0), ("max_outer", -1), ("grad_tol", -1.0),
-    ("grad_tol", float("nan")), ("grad_tol", float("inf")), ("snapshot_every", -3),
+    ("grad_tol", float("nan")), ("grad_tol", float("inf")), ("eta", 0.0),
 ])
 def test_solver_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
@@ -408,16 +408,17 @@ def test_entry_projection_protects_solver_from_bad_warm_start():
 
 def test_snapshots_hold_the_systems_the_loop_built():
     # the loop rebinds x and the duals and never writes into them, so every
-    # snapshot still holds the point its system was built at
+    # system the callback kept still holds the point it was built at
     rng = np.random.default_rng(16)
     obj = small_instance(rng, n=12, mu=1e-2, c=0.1, complex_w=True)
-    state = solve_subproblem(obj, SolverConfig(grad_tol=1e-10, max_outer=200, snapshot_every=1))
-    assert state.converged and len(state.snapshots) == len(state.trace) > 1
-    np.testing.assert_array_equal(state.snapshots[0].system.x, np.zeros(obj.n))
-    for k, snap in enumerate(state.snapshots):
-        assert snap.outer_iter == k
-        s = snap.system
+    systems = []
+    state = solve_subproblem(obj, SolverConfig(grad_tol=1e-10, max_outer=200),
+                             on_system=lambda stage, k, system: systems.append((k, system)))
+    assert state.converged and len(systems) == len(state.trace) > 1
+    np.testing.assert_array_equal(systems[0][1].x, np.zeros(obj.n))
+    for j, (k, s) in enumerate(systems):
+        assert k == j
         rebuilt = NewtonSystem(obj, s.x, s.g)
         for name in ("y", "d1", "d4", "d23"):
             np.testing.assert_array_equal(getattr(rebuilt, name), getattr(s, name))
-    assert not np.array_equal(state.snapshots[-1].system.x, state.x)
+    assert not np.array_equal(systems[-1][1].x, state.x)
