@@ -254,8 +254,7 @@ def _cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     state, elapsed = _run_solve(obj, schedule, config)
 
-    lines = [f"converged = {state.converged}", f"wall_time_s = {elapsed:.3f}",
-             f"total_matvecs = {state.counters.total_matvecs()}"]
+    lines = [f"converged = {state.converged}", f"wall_time_s = {elapsed:.3f}"]
     if cfg["problem"] == "itv":
         recon = state.x.reshape((inst.n1, inst.n2), order="F")
         write_pgm(out_dir / "reconstruction.pgm", recon)

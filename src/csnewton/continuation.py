@@ -11,10 +11,10 @@ converged is therefore a cost choice, not a property of the answer
 (inexact Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
 19(2), 1982; forcing terms: Eisenstat & Walker, SIAM J. Sci. Comput.
 17(1), 1996).  ``ContinuationSchedule.plan`` resolves every stage's
-Newton settings in one place, as a tuple of ``Stage`` records:
+Newton settings in one place, as a ``SolverConfig`` per stage:
 
   * Every stage but the last takes one inexact Newton step
-    (``Stage.max_outer`` = 1; none if it starts converged) and hands its
+    (``max_outer`` = 1; none if it starts converged) and hands its
     primal-dual state to the next: short-step path following, as in
     primal-dual interior-point methods (S. J. Wright, Primal-Dual
     Interior-Point Methods, SIAM, 1997).  The last stage runs to
@@ -69,7 +69,6 @@ __all__ = [
     "ContinuationSchedule",
     "FACTORED_ETA",
     "PRECOND_ENABLE_MU",
-    "Stage",
     "make_schedule",
     "run_continuation",
     "StageError",
@@ -90,27 +89,16 @@ class StageError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Stage:
-    """One continuation stage and the Newton settings it runs with."""
-
-    c: float
-    mu: float
-    precond_mode: str
-    max_outer: int
-    eta: float
-
-
-@dataclass(frozen=True)
 class ContinuationSchedule:
     """The (c, mu) stages; ``plan`` adds the Newton settings of each."""
 
     stages: Tuple[Tuple[float, float], ...]
 
-    def plan(self, config: SolverConfig) -> Tuple[Stage, ...]:
-        """Each stage's (c, mu) with the preconditioner mode, outer-iteration
-        cap and forcing term it runs with under ``config``: the mode is
-        switched on at mu <= ``PRECOND_ENABLE_MU[mode]``, and every stage
-        but the last takes one Newton step."""
+    def plan(self, config: SolverConfig) -> Tuple[Tuple[float, float, SolverConfig], ...]:
+        """Each stage's (c, mu) with the ``config`` it runs: the mode is
+        switched on at mu <= ``PRECOND_ENABLE_MU[mode]``, every stage but
+        the last takes one Newton step, and ``exact_banded`` stages solve
+        PCG to ``min(eta, FACTORED_ETA)``."""
         # "none" has no entry: it runs unpreconditioned whatever the threshold
         enable_mu = PRECOND_ENABLE_MU.get(config.precond_mode, 0.0)
         last = len(self.stages) - 1
@@ -119,7 +107,7 @@ class ContinuationSchedule:
             mode = config.precond_mode if mu <= enable_mu else "none"
             max_outer = config.max_outer if j == last else 1
             eta = min(config.eta, FACTORED_ETA) if mode == "exact_banded" else config.eta
-            plan.append(Stage(c, mu, mode, max_outer, eta))
+            plan.append((c, mu, replace(config, precond_mode=mode, max_outer=max_outer, eta=eta)))
         return tuple(plan)
 
 
@@ -158,24 +146,21 @@ def run_continuation(
     """Solve every stage of ``schedule.plan(config)``, warm-starting each
     from the previous solution.
 
-    ``obj_targets`` carries the problem data; its (c, mu) are overridden
-    stage by stage, and so are the preconditioner mode, ``max_outer`` and
-    ``eta`` of ``config``: every stage but the last takes one Newton step,
-    the last runs to ``grad_tol``, and ``exact_banded`` stages solve PCG
-    to ``min(eta, FACTORED_ETA)``.  On the 128x128 phantom this takes
-    24 outer / 372 PCG iterations where stages run to a 1e-3 gradient
-    tolerance take 44 / 1243 (see the module docstring for the ladder).
-    The returned state holds the concatenated trace with a stage column;
-    each stage's ``solve_subproblem`` gets ``on_system``.
+    ``obj_targets`` carries the problem data; each stage runs it at its
+    own (c, mu) under the config ``plan`` gives it: every stage but the
+    last takes one Newton step, the last runs to ``grad_tol``, and
+    ``exact_banded`` stages solve PCG to ``min(eta, FACTORED_ETA)``.  On
+    the 128x128 phantom this takes 24 outer / 372 PCG iterations where
+    stages run to a 1e-3 gradient tolerance take 44 / 1243 (see the
+    module docstring for the ladder).  The returned state holds the
+    concatenated trace with a stage column; each stage's
+    ``solve_subproblem`` gets ``on_system``.
     """
     state = None
-    for j, stage in enumerate(schedule.plan(config)):
-        obj_j = replace(obj_targets, c=stage.c, mu=stage.mu)
-        config_j = replace(
-            config, precond_mode=stage.precond_mode, max_outer=stage.max_outer, eta=stage.eta
-        )
+    for j, (c, mu, stage_config) in enumerate(schedule.plan(config)):
+        obj_j = replace(obj_targets, c=c, mu=mu)
         try:  # solve_subproblem projects the warm-start duals
-            state = solve_subproblem(obj_j, config_j, init=state, stage=j, on_system=on_system)
+            state = solve_subproblem(obj_j, stage_config, init=state, stage=j, on_system=on_system)
         except Exception as exc:  # noqa: BLE001 - annotate and re-raise
             raise StageError(j, exc) from exc
     return state

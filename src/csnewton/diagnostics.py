@@ -1,8 +1,8 @@
 """Verification harness: derivative checks, invariant sweeps, rate probes.
 
 All checks are deterministic under fixed seeds.  Reports are plain
-dataclasses with a ``rows()`` method for CSV export and a ``passed``
-flag for the command-line gate.
+dataclasses with ``rows()``, which ``csnewton check`` prints one line
+each, and a ``passed`` flag for the command-line gate.
 """
 
 from __future__ import annotations

@@ -62,16 +62,16 @@ class SmoothedObjective:
 
 def huber_value(y: np.ndarray, mu: float) -> float:
     """Sum of sqrt(mu^2 + |y_i|^2) - mu over the dictionary domain."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < np.inf:  # NaN fails too
+        raise ValueError(f"mu must be positive and finite, got mu = {mu}")
     y = np.asarray(y)
     return float(np.sum(np.sqrt(mu * mu + np.abs(y) ** 2) - mu))
 
 
 def build_D(y: np.ndarray, mu: float) -> np.ndarray:
     """Positive diagonal D_i = (mu^2 + |y_i|^2)^(-1/2); all entries <= 1/mu."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < np.inf:  # NaN fails too
+        raise ValueError(f"mu must be positive and finite, got mu = {mu}")
     y = np.asarray(y)
     return 1.0 / np.sqrt(mu * mu + np.abs(y) ** 2)
 

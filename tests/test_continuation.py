@@ -8,7 +8,6 @@ import csnewton.smoothing
 import csnewton.solver
 from csnewton.continuation import (
     PRECOND_ENABLE_MU,
-    Stage,
     StageError,
     make_schedule,
     run_continuation,
@@ -108,10 +107,10 @@ def test_schedule_precond_rule_per_mode():
     mus = [m for _, m in sched.stages]
     for mode, first_on in (("exact_banded", 2), ("truncated_cg", 4)):
         plan = sched.plan(SolverConfig(precond_mode=mode))
-        assert [s.precond_mode for s in plan] == ["none"] * first_on + [mode] * (6 - first_on)
+        assert [s.precond_mode for _, _, s in plan] == ["none"] * first_on + [mode] * (6 - first_on)
         assert mus[first_on] <= PRECOND_ENABLE_MU[mode] < mus[first_on - 1]
     plan = sched.plan(SolverConfig(precond_mode="none"))
-    assert [s.precond_mode for s in plan] == ["none"] * 6
+    assert [s.precond_mode for _, _, s in plan] == ["none"] * 6
 
 
 @pytest.mark.parametrize(
@@ -124,9 +123,10 @@ def test_schedule_precond_rule_per_mode():
 )
 def test_plan_default_schedule(mode, modes, etas):
     sched = make_schedule(1e-2, 1e-5)
-    plan = sched.plan(SolverConfig(precond_mode=mode))
+    config = SolverConfig(precond_mode=mode)
+    plan = sched.plan(config)
     assert plan == tuple(
-        Stage(c, mu, m, max_outer, eta)
+        (c, mu, replace(config, precond_mode=m, max_outer=max_outer, eta=eta))
         for (c, mu), m, max_outer, eta in zip(sched.stages, modes, [1] * 5 + [100], etas)
     )
 
@@ -136,10 +136,10 @@ def test_plan_keeps_tighter_caller_settings():
     # the caller's max_outer
     config = SolverConfig(precond_mode="exact_banded", eta=1e-3, max_outer=7)
     plan = make_schedule(1e-2, 1e-5).plan(config)
-    assert [s.eta for s in plan] == [1e-3] * 6
-    assert [s.max_outer for s in plan] == [1] * 5 + [7]
+    assert [s.eta for _, _, s in plan] == [1e-3] * 6
+    assert [s.max_outer for _, _, s in plan] == [1] * 5 + [7]
     # a single-stage schedule is the last stage: it keeps the caller's max_outer
-    (only,) = make_schedule(1e-1, 1e-1).plan(SolverConfig(max_outer=30))
+    ((_, _, only),) = make_schedule(1e-1, 1e-1).plan(SolverConfig(max_outer=30))
     assert only.max_outer == 30
 
 
@@ -387,7 +387,7 @@ def test_failed_banded_factor_is_a_stage_error(monkeypatch):
     obj = small_itv_objective(1e-2, 1e-5)
     config = SolverConfig(precond_mode="exact_banded")
     schedule = make_schedule(1e-2, 1e-5)
-    first_banded = [s.precond_mode for s in schedule.plan(config)].index("exact_banded")
+    first_banded = [s.precond_mode for _, _, s in schedule.plan(config)].index("exact_banded")
     with pytest.raises(StageError, match="exact_banded") as err:
         run_continuation(obj, config, schedule)
     assert err.value.stage == first_banded == 2

@@ -37,8 +37,9 @@ def test_huber_value_cases():
     assert huber_value(np.zeros(5), mu=0.3) == 0.0
     assert abs(huber_value(np.array([4.0]), mu=3.0) - 2.0) <= 1e-15
     assert abs(huber_value(np.array([1.0]), mu=1.0) - (np.sqrt(2) - 1)) <= 1e-15
-    with pytest.raises(ValueError):
-        huber_value(np.ones(3), mu=0.0)
+    for mu in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"positive and finite, got mu = {mu}"):
+            huber_value(np.ones(3), mu=mu)
 
 
 def test_huber_l1_approximation_bound():
@@ -61,6 +62,10 @@ def test_build_D_values():
     mu = 1e-2
     vals = build_D(y, mu)
     assert np.all(vals > 0) and np.all(vals <= 1.0 / mu)
+    # unchecked, an infinite mu gives zeros and a NaN mu gives NaNs
+    for mu in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"positive and finite, got mu = {mu}"):
+            build_D(y, mu)
 
 
 def test_grad_psi_identity_dictionary():
