@@ -6,7 +6,6 @@ from .krylov import PcgOutcome, pcg_solve
 from .linops import (
     LinearOperator,
     SamplingMask,
-    estimate_delta,
     make_dense_dictionary,
     make_gradient2d,
     make_mask,

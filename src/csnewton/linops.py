@@ -43,7 +43,6 @@ __all__ = [
     "make_gradient2d",
     "make_partial_dct2",
     "make_dense_dictionary",
-    "estimate_delta",
     "stencil_matrix",
     "dense_columns",
 ]
@@ -57,8 +56,6 @@ class LinearOperator:
     ----------
     rows, cols : int
         Output and input dimensions of ``apply``.
-    field : {"real", "complex"}
-        Codomain scalar field of ``apply``.
     apply : callable
         Maps a length-``cols`` vector to a length-``rows`` vector.
     adjoint_apply : callable
@@ -85,7 +82,6 @@ class LinearOperator:
 
     rows: int
     cols: int
-    field: str
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray], np.ndarray]
     curvature_diagonals: Optional[
@@ -102,8 +98,6 @@ class LinearOperator:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("operator dimensions must be positive")
-        if self.field not in ("real", "complex"):
-            raise ValueError("field must be 'real' or 'complex'")
 
 
 @dataclass(frozen=True)
@@ -241,7 +235,6 @@ def make_gradient2d(n1: int, n2: int) -> LinearOperator:
     return LinearOperator(
         rows=n,
         cols=n,
-        field="complex",
         apply=lambda z: _grad2d_synthesis(z, n1, n2),
         adjoint_apply=lambda x: _grad2d_analysis(x, n1, n2),
         curvature_diagonals=lambda d1, d4, d23: _grad2d_curvature_diagonals(d1, d4, d23, n1, n2),
@@ -319,7 +312,7 @@ def make_partial_dct2(n1: int, n2: int, mask: SamplingMask) -> LinearOperator:
         full[idx] = v
         return inverse(full.reshape((n2, n1))).ravel()
 
-    return LinearOperator(rows=m, cols=n, field="real", apply=apply, adjoint_apply=adjoint_apply)
+    return LinearOperator(rows=m, cols=n, apply=apply, adjoint_apply=adjoint_apply)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +337,6 @@ def make_dense_dictionary(entries: np.ndarray, field: str = "real") -> LinearOpe
     return LinearOperator(
         rows=rows,
         cols=cols,
-        field=field,
         apply=lambda z: mat @ z,
         adjoint_apply=lambda x: adj @ x,
         fast_synth_real=synth_real,
@@ -367,31 +359,3 @@ def dense_columns(action: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndar
         e[j] = 0.0
     return out
 
-
-def estimate_delta(A: LinearOperator, iterations: int = 50) -> float:
-    """Power-iteration estimate of || A A^T - I ||_2 for a real operator.
-
-    The returned value is nondecreasing in ``iterations`` and approaches
-    the spectral norm from below (norm-ratio estimate on the symmetric
-    matrix A A^T - I, fixed deterministic start vector).
-    """
-    if A.field != "real":
-        raise ValueError("row-orthogonality estimate is defined for real operators")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-
-    def action(v):
-        return A.apply(A.adjoint_apply(v)) - v
-
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(A.rows)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iterations):
-        w = action(v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0 or norm < 1e-300:
-            return 0.0
-        est = norm
-        v = w / norm
-    return float(est)

@@ -55,7 +55,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, eigvalsh
 
 from .krylov import pcg_solve
-from .linops import dense_columns, estimate_delta, stencil_matrix
+from .linops import dense_columns, stencil_matrix
 
 __all__ = [
     "Preconditioner",
@@ -250,7 +250,8 @@ def theorem_bound(chi: float, denom: float) -> float:
 def spectrum_report(system, nu: float) -> SpectrumReport:
     """Eigenvalues of one Newton system's Bhat and of its form
     preconditioned by c*sym(Bt) + RHO*I, plus the clustering-bound
-    ingredients, all computed densely (n <= 4096)."""
+    ingredients, all computed densely (n <= 4096): delta is
+    ||A A^T - I||_2 from the dense A."""
     obj = system.obj
     n = obj.n
     if n > 4096:
@@ -267,7 +268,8 @@ def spectrum_report(system, nu: float) -> SpectrumReport:
     d = system.d
     sigma = int(np.sum(d < nu))
     outside = d >= nu  # complement of the small-diagonal set
-    delta = estimate_delta(obj.A, 50)
+    ad = dense_columns(obj.A.apply, n)
+    delta = float(np.max(np.abs(eigvalsh(ad @ ad.T) - 1.0)))
     chi = 1.0 + delta - RHO
 
     wd = dense_columns(obj.W.apply, obj.W.cols)

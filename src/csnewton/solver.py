@@ -193,18 +193,16 @@ class NewtonSystem:
 
     def __init__(self, obj: SmoothedObjective, x: np.ndarray, g: np.ndarray):
         self.obj = obj
-        self.x = x
         self.g = np.asarray(g, dtype=np.complex128)
         W = obj.W
         self.y = W.adjoint_apply(x)
         self.d = build_D(self.y, obj.mu)
-        self.rx = np.real(self.y)
-        self.ix = np.imag(self.y)
-        self.b2 = self.d * self.g.real * self.ix
-        self.b3 = self.d * self.g.imag * self.rx
+        rx, ix = self.y.real, self.y.imag
+        self.b2 = self.d * self.g.real * ix
+        self.b3 = self.d * self.g.imag * rx
         # diagonals of the symmetric part: D(I-B1), D(I-B4), -D(B2+B3)/2
-        self.d1 = self.d * (1.0 - self.d * self.g.real * self.rx)
-        self.d4 = self.d * (1.0 - self.d * self.g.imag * self.ix)
+        self.d1 = self.d * (1.0 - self.d * self.g.real * rx)
+        self.d4 = self.d * (1.0 - self.d * self.g.imag * ix)
         self.d23 = -0.5 * self.d * (self.b2 + self.b3)
         # upper diagonals (offsets, diags) of sym(Bt), with a stencil kernel only
         self.stencil = None
@@ -238,8 +236,8 @@ class NewtonSystem:
         analysis ``ydx`` = W* dx the caller has formed."""
         rdx, idx = ydx.real, ydx.imag
         d = self.d
-        dg_re = self.d1 * rdx - d * self.b2 * idx - self.g.real + d * self.rx
-        dg_im = self.d4 * idx - d * self.b3 * rdx - self.g.imag + d * self.ix
+        dg_re = self.d1 * rdx - d * self.b2 * idx - self.g.real + d * self.y.real
+        dg_im = self.d4 * idx - d * self.b3 * rdx - self.g.imag + d * self.y.imag
         return dg_re + 1j * dg_im
 
 
@@ -346,7 +344,7 @@ def solve_subproblem(
 
         ydx = obj.W.adjoint_apply(dx)  # shared by the dual step and the line search
         state.g = project_linf(state.g + system.dual_step(ydx))
-        dual_box = float(np.max(np.abs(state.g))) if state.g.size else 0.0
+        dual_box = float(np.max(np.abs(state.g)))
 
         ls = line_search(obj, state.x, system.y, dx, ydx, energy)
         del system, ydx  # the next system is built without this one or its W* dx

@@ -22,7 +22,7 @@ def hess_psi_matvec(x: np.ndarray, v: np.ndarray, W: LinearOperator, mu: float) 
     y = W.adjoint_apply(x)
     d = build_D(y, mu)
     u = W.adjoint_apply(v)
-    if W.field == "real":
+    if not np.iscomplexobj(u):
         return W.apply((mu * mu) * d**3 * u)
     yhat = (mu * mu) * d**3 + d
     ytil = -(y * y) * d**3

@@ -74,6 +74,7 @@ def test_pgm_rejects_truncated_payload(tmp_path, maxval, payload):
     (b"P5\n4", "header ends"),
     (b"", "header ends"),
     (b"P5\n4 x\n255\n" + bytes(16), "integers"),
+    (b"P2\n2 1\n255\n0 255\n", r"not a binary PGM \(P5\)"),
 ])
 def test_pgm_rejects_bad_header(tmp_path, content, reason):
     path = tmp_path / "head.pgm"
@@ -344,7 +345,10 @@ def test_solve_rejects_nonpositive_max_outer(tmp_path, capsys):
     assert "max_outer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["max_outer = 0", "mu = 0", "size = 8", "eta = 0"])
+@pytest.mark.parametrize("setting", [
+    "max_outer = 0", "mu = 0", "size = 8", "eta = 0", "size 32", "size = big", "problem = l2",
+    "precond = ilu", "continuation = maybe",
+])
 def test_solve_config_error_creates_no_out_dir(tmp_path, capsys, setting):
     # a bad solver, objective or problem setting is reported before --out-dir exists
     cfg = tmp_path / "bad.cfg"

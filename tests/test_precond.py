@@ -254,9 +254,7 @@ def test_truncated_cg_is_jacobi_pcg_on_the_target():
 
 def out_of_box_system(scale):
     # duals scale*(1 + i) lie outside the unit box for every scale > 1/sqrt(2)
-    obj, system = itv_system()
-    bad = scale * (np.ones(obj.n) + 1j * np.ones(obj.n))
-    return obj, NewtonSystem(obj, system.x, bad)
+    return itv_system(g=scale * (1 + 1j) * np.ones(16))
 
 
 def test_truncated_cg_rejects_a_nonpositive_target_diagonal():
@@ -376,7 +374,7 @@ def test_spectrum_shift_only_target_scales_raw():
 def test_spectrum_rejects_large_n():
     # a zero dictionary without dense storage reaches the size check cheaply
     zeros = np.zeros(5000)
-    W = LinearOperator(rows=5000, cols=5000, field="real", apply=lambda v: zeros,
+    W = LinearOperator(rows=5000, cols=5000, apply=lambda v: zeros,
                        adjoint_apply=lambda x: zeros, fast_synth_real=lambda p, q: zeros)
     big = SmoothedObjective(c=0.1, mu=1e-2, A=make_dense_dictionary(np.zeros((1, 5000))), W=W,
                             b=np.zeros(1))
@@ -396,9 +394,10 @@ def test_spectrum_report_fields_and_sigma(kind):
     np.testing.assert_allclose(rep.raw_eigs, eigvalsh(bhat), rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(rep.precond_eigs, eigvalsh(bhat, oracle_target(system)),
                                rtol=1e-9, atol=1e-12)
-    y = obj.W.adjoint_apply(system.x)
-    d = 1.0 / np.sqrt(obj.mu**2 + np.abs(y) ** 2)
+    d = 1.0 / np.sqrt(obj.mu**2 + np.abs(system.y) ** 2)
     assert rep.sigma == int(np.sum(d < nu))
+    assert rep.delta == pytest.approx(np.linalg.norm(a @ a.T - np.eye(a.shape[0]), 2),
+                                      rel=1e-10, abs=1e-13)
     assert rep.chi == pytest.approx(1.0 + rep.delta - RHO)
     assert rep.bound > 0 and rep.bound_kernel > 0
     assert rep.kernel_residuals.shape == rep.precond_eigs.shape

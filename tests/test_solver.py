@@ -408,17 +408,20 @@ def test_entry_projection_protects_solver_from_bad_warm_start():
 
 def test_snapshots_hold_the_systems_the_loop_built():
     # the loop rebinds x and the duals and never writes into them, so every
-    # system the callback kept still holds the point it was built at
+    # system the callback kept still holds what it was built with
     rng = np.random.default_rng(16)
     obj = small_instance(rng, n=12, mu=1e-2, c=0.1, complex_w=True)
+    names = ("y", "g", "d1", "d4", "d23")
     systems = []
-    state = solve_subproblem(obj, SolverConfig(grad_tol=1e-10, max_outer=200),
-                             on_system=lambda stage, k, system: systems.append((k, system)))
+
+    def keep(stage, k, system):
+        systems.append((k, system, {name: getattr(system, name).copy() for name in names}))
+
+    state = solve_subproblem(obj, SolverConfig(grad_tol=1e-10, max_outer=200), on_system=keep)
     assert state.converged and len(systems) == len(state.trace) > 1
-    np.testing.assert_array_equal(systems[0][1].x, np.zeros(obj.n))
-    for j, (k, s) in enumerate(systems):
+    np.testing.assert_array_equal(systems[0][1].y, np.zeros(obj.W.cols))  # x starts at 0
+    for j, (k, s, copies) in enumerate(systems):
         assert k == j
-        rebuilt = NewtonSystem(obj, s.x, s.g)
-        for name in ("y", "d1", "d4", "d23"):
-            np.testing.assert_array_equal(getattr(rebuilt, name), getattr(s, name))
-    assert not np.array_equal(systems[-1][1].x, state.x)
+        for name in names:
+            assert getattr(s, name).tobytes() == copies[name].tobytes(), (k, name)
+    assert not np.array_equal(systems[-1][1].y, obj.W.adjoint_apply(state.x))
