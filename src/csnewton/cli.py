@@ -26,15 +26,14 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from . import diagnostics
 from .continuation import make_schedule, run_continuation
-from .linops import make_dense_dictionary
-from .precond import spectrum_report
-from .problems import ProblemInstance, make_itv_instance, psnr, relative_error, shepp_logan
+from .precond import SPECTRUM_MAX_N, spectrum_report
+from .problems import make_itv_instance, make_l1_dense_instance, psnr, relative_error, shepp_logan
 from .smoothing import SmoothedObjective
 from .solver import IterationRecord, SolverConfig, solve_subproblem
 
@@ -142,10 +141,9 @@ class SolveAborted(Exception):
     """The solver raised; the message names its error."""
 
 
-def parse_config(path) -> Tuple[Dict, SolverConfig]:
-    """The problem settings, and the solver's as a ``SolverConfig``, so that
-    a bad solver setting raises before a command creates or opens a file."""
-    cfg = dict(_DEFAULTS)
+def parse_config(path) -> Dict:
+    """The settings of a key=value config file over ``_DEFAULTS``."""
+    given = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -156,11 +154,16 @@ def parse_config(path) -> Tuple[Dict, SolverConfig]:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            cfg[key] = _CONFIG_KEYS[key](value)
+            given[key] = _CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    cfg = dict(_DEFAULTS, **given)
     if cfg["problem"] not in ("itv", "l1-dense"):
         raise ConfigError(f"unknown problem {cfg['problem']!r}")
+    ignored = [key for key in ("image", "target_psnr") if key in given]
+    if cfg["problem"] == "l1-dense" and ignored:
+        raise ConfigError(f"problem l1-dense draws a noiseless signal: it takes no "
+                          f"{' or '.join(ignored)}")
     if cfg["precond"] not in _PRECOND_MODES:
         raise ConfigError(f"unknown precond {cfg['precond']!r}")
     if cfg["continuation"] not in ("on", "off"):
@@ -172,36 +175,27 @@ def parse_config(path) -> Tuple[Dict, SolverConfig]:
     if not (-math.inf < target < 20.0 * math.log10(sys.float_info.max) or target == math.inf):
         raise ConfigError(f"target_psnr must be a number below 6165.09 dB, or inf for noiseless "
                           f"data, got {target}")
-    config = SolverConfig(precond_mode=_PRECOND_MODES[cfg["precond"]],
-                          **{key: cfg[key] for key in _SOLVER_KEYS if key in cfg})
-    return cfg, config
+    return cfg
 
 
-def _build_problem(cfg) -> ProblemInstance:
+def _build_problem(cfg):
     if cfg["problem"] == "itv":
         phantom = cfg["image"] == "phantom"
         image = shepp_logan(cfg["size"], cfg["size"]) if phantom else read_pgm(cfg["image"])
         return make_itv_instance(image, cfg["sampling_ratio"], cfg["target_psnr"], cfg["seed"])
-    # l1-dense: a random Parseval frame W (n x 2n, W W* = I) and a Gaussian signal,
-    # whose analysis W* x is dense; it tests convergence, not recovery
-    rng = np.random.default_rng(cfg["seed"])
-    n = cfg["size"]
-    el = 2 * n
-    m = max(1, round(cfg["sampling_ratio"] * n))
-    q, _ = np.linalg.qr(rng.standard_normal((el, n)))
-    W = make_dense_dictionary(q.T, field="real")
-    A = make_dense_dictionary(rng.standard_normal((m, n)) / math.sqrt(n), field="real")
-    x_true = rng.standard_normal(n)
-    b = A.apply(x_true)
-    return ProblemInstance(A=A, W=W, b=b, ground_truth=x_true, n1=n, n2=1)
+    return make_l1_dense_instance(cfg["size"], cfg["sampling_ratio"], cfg["seed"])
 
 
 def _build_solve(cfg) -> tuple:
-    """The instance, the objective at the target (c, mu) and the continuation
-    schedule (None when off); a bad setting raises before any file is made."""
+    """The instance, the objective at the target (c, mu), the continuation
+    schedule (None when off) and the solver settings as a ``SolverConfig``;
+    a bad setting raises before any file is made."""
+    config = SolverConfig(precond_mode=_PRECOND_MODES[cfg["precond"]],
+                          **{key: cfg[key] for key in _SOLVER_KEYS if key in cfg})
     inst = _build_problem(cfg)
     obj = SmoothedObjective(c=cfg["c"], mu=cfg["mu"], A=inst.A, W=inst.W, b=inst.b)
-    return inst, obj, make_schedule(cfg["c"], cfg["mu"]) if cfg["continuation"] == "on" else None
+    schedule = make_schedule(cfg["c"], cfg["mu"]) if cfg["continuation"] == "on" else None
+    return inst, obj, schedule, config
 
 
 def _run_solve(obj, schedule, config: SolverConfig, on_system=None) -> tuple:
@@ -248,8 +242,8 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg, config = parse_config(args.config)
-    inst, obj, schedule = _build_solve(cfg)
+    cfg = parse_config(args.config)
+    inst, obj, schedule, config = _build_solve(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     state, elapsed = _run_solve(obj, schedule, config)
@@ -279,16 +273,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    cfg, config = parse_config(args.config)
+    cfg = parse_config(args.config)
     if args.every < 1:
         raise ValueError(f"--every must be >= 1, got {args.every}")
     if args.nu is not None and not 0.0 < args.nu < math.inf:
         raise ValueError(f"--nu must be positive and finite, got {args.nu}")
-    inst, obj, schedule = _build_solve(cfg)
+    inst, obj, schedule, config = _build_solve(cfg)
     nu = args.nu if args.nu is not None else 0.5 / cfg["mu"]  # the build rejected mu = 0
     # the size of the problem actually built: a PGM image sets its own
-    if inst.A.cols > 4096:
-        raise ValueError(f"spectrum needs n <= 4096, got {inst.A.cols}")
+    if inst.A.cols > SPECTRUM_MAX_N:
+        raise ValueError(f"spectrum needs n <= {SPECTRUM_MAX_N}, got {inst.A.cols}")
 
     systems = []
 
@@ -364,8 +358,7 @@ def _cmd_check(args) -> int:
         # the 32x32 phantom at the solve command's defaults, both instance seeds
         for seed in (0, 1):
             cfg = dict(_DEFAULTS, size=32, seed=seed)
-            defaults = SolverConfig(precond_mode=_PRECOND_MODES[cfg["precond"]])
-            _, obj_seed, schedule = _build_solve(cfg)
+            _, obj_seed, schedule, defaults = _build_solve(cfg)
             state, _ = _run_solve(obj_seed, schedule, defaults)
             traces[f"phantom32_seed{seed}"] = state.trace
         for name, trace in traces.items():

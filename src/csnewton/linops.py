@@ -320,9 +320,10 @@ def make_partial_dct2(n1: int, n2: int, mask: SamplingMask) -> LinearOperator:
 # ---------------------------------------------------------------------------
 
 
-def make_dense_dictionary(entries: np.ndarray, field: str = "real") -> LinearOperator:
-    """Wrap an explicit matrix: the CLI's l1-dense frame, oracles and unit tests."""
-    mat = np.asarray(entries, dtype=np.complex128 if field == "complex" else np.float64)
+def make_dense_dictionary(entries: np.ndarray) -> LinearOperator:
+    """Wrap an explicit matrix: the l1-dense frame, oracles and unit tests.
+    Complex entries make a complex128 dictionary, any others a float64 one."""
+    mat = np.asarray(entries, dtype=np.complex128 if np.iscomplexobj(entries) else np.float64)
     if mat.ndim != 2:
         raise ValueError("entries must be a 2D array")
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
@@ -332,7 +333,7 @@ def make_dense_dictionary(entries: np.ndarray, field: str = "real") -> LinearOpe
 
     def synth_real(p, q):
         # a real matrix has no imaginary channel: Re(W (p + i q)) = W p
-        return mat @ p if field == "real" else np.real(mat @ (p + 1j * q))
+        return np.real(mat @ (p + 1j * q)) if np.iscomplexobj(mat) else mat @ p
 
     return LinearOperator(
         rows=rows,

@@ -80,6 +80,7 @@ TRUNCATED_CG_ETA = 1e-12
 #   rho 0.5   24/372, 25/334;  34/1256, 30/1280
 #   rho 1.0   25/471, 24/406;  30/1296, 32/1268
 RHO = 0.5
+SPECTRUM_MAX_N = 4096  # largest n of spectrum_report, which works on dense n x n matrices
 
 
 @dataclass
@@ -250,12 +251,12 @@ def theorem_bound(chi: float, denom: float) -> float:
 def spectrum_report(system, nu: float) -> SpectrumReport:
     """Eigenvalues of one Newton system's Bhat and of its form
     preconditioned by c*sym(Bt) + RHO*I, plus the clustering-bound
-    ingredients, all computed densely (n <= 4096): delta is
-    ||A A^T - I||_2 from the dense A."""
+    ingredients, all computed densely (n <= ``SPECTRUM_MAX_N``): delta
+    is ||A A^T - I||_2 from the dense A."""
     obj = system.obj
     n = obj.n
-    if n > 4096:
-        raise ValueError(f"dense spectrum limited to n <= 4096, got {n}")
+    if n > SPECTRUM_MAX_N:
+        raise ValueError(f"dense spectrum limited to n <= {SPECTRUM_MAX_N}, got {n}")
 
     bd = dense_columns(system.bhat_matvec, n)
     nd = obj.c * dense_columns(system.symb_matvec, n) + RHO * np.eye(n)

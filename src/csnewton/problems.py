@@ -1,4 +1,4 @@
-"""Reproducible reconstruction problem instances and quality metrics."""
+"""Reproducible reconstruction problem instances, TV and l1-dense, and quality metrics."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import LinearOperator, make_gradient2d, make_mask, make_partial_dct2
+from .linops import (LinearOperator, make_dense_dictionary, make_gradient2d, make_mask,
+                     make_partial_dct2)
 
 __all__ = [
     "ProblemInstance",
@@ -16,6 +17,7 @@ __all__ = [
     "psnr",
     "relative_error",
     "make_itv_instance",
+    "make_l1_dense_instance",
 ]
 
 # High-contrast phantom ellipse table: intensity, semi-axis a, semi-axis b,
@@ -145,3 +147,17 @@ def make_itv_instance(
     W = make_gradient2d(n1, n2)
     b = A.apply(add_noise_to_psnr(image, target_psnr, seed).ravel(order="F"))
     return ProblemInstance(A=A, W=W, b=b, ground_truth=image.copy(), n1=n1, n2=n2)
+
+
+def make_l1_dense_instance(n: int, sampling_ratio: float, seed: int) -> ProblemInstance:
+    """l1-analysis instance: a random Parseval frame W (n x 2n, W W* = I),
+    max(1, round(sampling_ratio * n)) Gaussian measurements and a Gaussian
+    signal, drawn in that order, without noise.  The signal's analysis
+    W* x is dense, so the instance tests convergence, not recovery."""
+    rng = np.random.default_rng(seed)
+    m = max(1, round(sampling_ratio * n))
+    q, _ = np.linalg.qr(rng.standard_normal((2 * n, n)))
+    W = make_dense_dictionary(q.T)
+    A = make_dense_dictionary(rng.standard_normal((m, n)) / math.sqrt(n))
+    x_true = rng.standard_normal(n)
+    return ProblemInstance(A=A, W=W, b=A.apply(x_true), ground_truth=x_true, n1=n, n2=1)

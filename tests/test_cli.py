@@ -378,6 +378,8 @@ def test_solve_rejects_nonfinite_settings(tmp_path, capsys, setting, named):
 @pytest.mark.parametrize("setting, named", [
     ("mu = 0", "mu = 0.0"), ("c = inf", "c = inf"), ("mu = inf", "mu = inf"),
     ("c = nan", "c = nan"), ("eta = 0", "eta"), ("target_psnr = 10000", "target_psnr"),
+    # the config reader also rejects the image and target_psnr that l1-dense ignores
+    ("problem = l1-dense", "takes no image or target_psnr"),
 ])
 def test_bad_setting_makes_no_file(tmp_path, capsys, setting, named):
     # the objective checks c and mu, the solver config eta, and the config

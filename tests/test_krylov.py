@@ -115,6 +115,27 @@ def test_nonfinite_raises():
         pcg_solve(bad, np.ones(3), eta=0.1, cap=10)
 
 
+def test_nonfinite_residual_raises():
+    # the curvature 0.5 is finite, but the step 2 overflows r's second entry
+    def op(v):
+        return np.array([0.5 * v[0], 1e308 * v[0]])
+
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="non-finite residual"):
+        pcg_solve(op, np.array([1.0, 0.0]), eta=0.1, cap=10)
+
+
+def test_nonfinite_preconditioned_residual_raises():
+    calls = []
+
+    def precond(r):
+        calls.append(r)
+        return r if len(calls) == 1 else r * np.inf
+
+    with pytest.raises(NonFiniteError, match="non-finite preconditioned residual at iteration 1"):
+        pcg_solve(lambda v: np.array([1.0, 2.0]) * v, np.ones(2), precond=precond, eta=1e-10,
+                  cap=10)
+
+
 def test_cap_reached_reports_not_converged():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((50, 50))

@@ -303,6 +303,25 @@ def test_dense_dictionary_random_adjoint():
     assert_adjoint_consistent(op, rng)
 
 
+def test_dense_dictionary_field_is_the_entries_dtype():
+    # complex entries keep their imaginary part in every kernel
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+    op = make_dense_dictionary(m)
+    z = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    x = rng.standard_normal(5)
+    p, q = rng.standard_normal(7), rng.standard_normal(7)
+    np.testing.assert_allclose(op.apply(z), m @ z, rtol=1e-14)
+    np.testing.assert_allclose(op.adjoint_apply(x), m.conj().T @ x, rtol=1e-14)
+    np.testing.assert_allclose(op.fast_synth_real(p, q), np.real(m @ (p + 1j * q)), rtol=1e-14)
+    # integer entries make a real dictionary
+    ints = make_dense_dictionary(np.array([[1, 2], [3, 4]]))
+    out = ints.apply(np.ones(2))
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, [3.0, 7.0])
+    assert ints.fast_synth_real(np.ones(2), np.ones(2)).dtype == np.float64
+
+
 def test_dense_dictionary_rejects_nonfinite():
     with pytest.raises(ValueError):
         make_dense_dictionary(np.array([[1.0, np.inf]]))
@@ -313,7 +332,7 @@ CHANNEL_DICTIONARIES = {
     "grad6x4": lambda rng: make_gradient2d(6, 4),
     "dense_real": lambda rng: make_dense_dictionary(rng.standard_normal((6, 10))),
     "dense_complex": lambda rng: make_dense_dictionary(
-        rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10)), field="complex"
+        rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
     ),
 }
 

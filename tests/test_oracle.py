@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from csnewton import cli
 from csnewton.continuation import make_schedule, run_continuation
-from csnewton.problems import make_itv_instance, shepp_logan
+from csnewton.problems import make_itv_instance, make_l1_dense_instance, shepp_logan
 from csnewton.smoothing import SmoothedObjective, objective_grad, objective_value
 from csnewton.solver import SolverConfig, solve_subproblem
 
@@ -44,10 +43,11 @@ def small_mu_instance():
 
 @pytest.fixture(scope="module")
 def l1_dense_instance():
-    """The CLI's l1-dense instance at its defaults (n = 64, seed 0: a dense
-    Parseval frame, so the curvature is applied matrix-free), c = 1e-2,
-    mu = 1e-3, and its L-BFGS-B minimizer (about 260 iterations)."""
-    inst = cli._build_problem(dict(cli._DEFAULTS, problem="l1-dense"))
+    """The l1-dense instance at the CLI's defaults (n = 64, sampling 0.25,
+    seed 0: a dense Parseval frame, so the curvature is applied
+    matrix-free), c = 1e-2, mu = 1e-3, and its L-BFGS-B minimizer (about
+    260 iterations)."""
+    inst = make_l1_dense_instance(64, 0.25, 0)
     assert inst.W.curvature_diagonals is None
     return with_lbfgsb_minimizer(SmoothedObjective(c=1e-2, mu=1e-3, A=inst.A, W=inst.W, b=inst.b))
 

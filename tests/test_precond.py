@@ -44,7 +44,7 @@ def dense_system(field, seed=0, n=12, l=16, mu=1e-2, c=0.1):
     entries = rng.standard_normal((n, l))
     if field == "complex":
         entries = entries + 1j * rng.standard_normal((n, l))
-    W = make_dense_dictionary(entries, field=field)
+    W = make_dense_dictionary(entries)
     A = make_dense_dictionary(rng.standard_normal((n // 2, n)) / np.sqrt(n))
     obj = SmoothedObjective(c=c, mu=mu, A=A, W=W, b=rng.standard_normal(n // 2))
     g = project_linf(rng.standard_normal(l) + 1j * rng.standard_normal(l))
@@ -313,6 +313,19 @@ def test_second_build_reuses_the_released_band():
         assert fresh.band is not band and second.band.tobytes() == fresh.band.tobytes()
         r = np.random.default_rng(6).standard_normal(system.obj.n)
         assert second.action(r).tobytes() == fresh.action(r).tobytes()
+
+
+def test_build_rejects_an_unknown_mode():
+    _, system = itv_system()
+    with pytest.raises(ValueError, match="unknown preconditioner mode 'ilu'"):
+        build_for_system(system, "ilu")
+
+
+def test_exact_banded_rejects_a_previous_band_of_another_shape():
+    _, small = itv_system(n1=8, n2=4)
+    _, large = itv_system(n1=16, n2=8)
+    with pytest.raises(ValueError, match="band storage must be"):
+        build_for_system(large, "exact_banded", build_for_system(small, "exact_banded"))
 
 
 def test_factorization_breakdown_raises():

@@ -9,6 +9,7 @@ from csnewton.problems import (
     _ELLIPSES,
     add_noise_to_psnr,
     make_itv_instance,
+    make_l1_dense_instance,
     psnr,
     relative_error,
     shepp_logan,
@@ -126,3 +127,20 @@ def test_itv_instance_measurement_consistency():
 def test_itv_instance_rejects_bad_ratio():
     with pytest.raises(ValueError):
         make_itv_instance(shepp_logan(16, 16), 0.0, math.inf, seed=0)
+
+
+def test_l1_dense_instance_draws_frame_then_a_then_x():
+    n, seed = 12, 5
+    inst = make_l1_dense_instance(n, 0.5, seed)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((2 * n, n)))
+    a = rng.standard_normal((6, n)) / math.sqrt(n)
+    x = rng.standard_normal(n)
+    np.testing.assert_array_equal(inst.ground_truth, x)
+    np.testing.assert_array_equal(inst.b, a @ x)
+    np.testing.assert_allclose(inst.W.adjoint_apply(x), q @ x, rtol=1e-13, atol=1e-13)
+    assert (inst.A.rows, inst.A.cols, inst.W.rows, inst.W.cols) == (6, n, n, 2 * n)
+    assert (inst.n1, inst.n2) == (n, 1)
+    # a Parseval frame: W W* = I
+    np.testing.assert_allclose(inst.W.apply(inst.W.adjoint_apply(x)), x, atol=1e-12)
+    assert inst.W.curvature_diagonals is None

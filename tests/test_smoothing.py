@@ -87,7 +87,7 @@ def test_derivatives_match_finite_differences(kind):
         W = make_dense_dictionary(rng.standard_normal((6, 10)))
     elif kind == "complex":
         W = make_dense_dictionary(
-            rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10)), field="complex"
+            rng.standard_normal((6, 10)) + 1j * rng.standard_normal((6, 10))
         )
     else:
         W = make_gradient2d(4, 4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hessian_oracle import hess_f_matvec
 
-from csnewton.krylov import NegativeCurvatureError, pcg_solve
+from csnewton.krylov import NegativeCurvatureError, NonFiniteError, pcg_solve
 from csnewton.linops import (
     dense_columns,
     make_dense_dictionary,
@@ -25,7 +25,7 @@ def small_instance(rng, n=16, m=10, mu=1e-2, c=0.1, complex_w=False, l=None):
     g = rng.standard_normal((n, l))
     if complex_w:
         g = g + 1j * rng.standard_normal((n, l))
-    W = make_dense_dictionary(g, field="complex" if complex_w else "real")
+    W = make_dense_dictionary(g)
     A = make_dense_dictionary(rng.standard_normal((m, n)) / np.sqrt(n))
     b = A.apply(rng.standard_normal(n))
     return SmoothedObjective(c=c, mu=mu, A=A, W=W, b=b)
@@ -208,6 +208,15 @@ def test_line_search_zero_direction_degenerate():
     x = rng.standard_normal(obj.n)
     res = line_search(obj, x, obj.W.adjoint_apply(x), np.zeros(obj.n), np.zeros(obj.W.cols), 0.0)
     assert res.accepted and res.backtracks == 0 and res.alpha == 1.0
+
+
+def test_line_search_rejects_a_nonfinite_trial():
+    # f(x + dx) overflows for a step of 1e200 in every entry
+    rng = np.random.default_rng(8)
+    obj = small_instance(rng)
+    x, dx = np.zeros(obj.n), np.full(obj.n, 1e200)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="at j=0"):
+        line_search(obj, x, obj.W.adjoint_apply(x), dx, obj.W.adjoint_apply(dx), energy=1.0)
 
 
 def test_line_search_exhaustion_flagged():
