@@ -3,14 +3,15 @@
 Subcommands:
   phantom   write a head-phantom test image as binary PGM
   solve     reconstruct from a key=value config, writing image/trace/metrics
-  spectrum  dense eigenvalue export for the Newton systems of a solve
+  spectrum  dense eigenvalue export for the Newton systems of a solve, each
+            with its clustering bound at nu = 0.5/mu of its own stage
   check     run the built-in verification suites
 
 Exit codes: 0 success, 1 failed checks (``check``, or a converged ``solve``
 whose trace fails the solver invariants, after its outputs are written),
 2 bad usage (a bad config or argument, an unreadable input or an
-unwritable output) or a solve that aborted or did not converge; an error
-is one ``error:`` line on stderr.
+unwritable output) or a solve of any command that aborted, or a ``solve``
+that did not converge; an error is one ``error:`` line on stderr.
 Images are binary PGM (P5), 8- or 16-bit on read and 8-bit on write, where
 internal [0, 1] values are quantized with round(255*v).
 """
@@ -164,6 +165,8 @@ def parse_config(path) -> Dict:
     if cfg["problem"] == "l1-dense" and ignored:
         raise ConfigError(f"problem l1-dense draws a noiseless signal: it takes no "
                           f"{' or '.join(ignored)}")
+    if cfg["image"] != "phantom" and "size" in given:
+        raise ConfigError(f"image {cfg['image']} sets its own size: it takes no size")
     if cfg["precond"] not in _PRECOND_MODES:
         raise ConfigError(f"unknown precond {cfg['precond']!r}")
     if cfg["continuation"] not in ("on", "off"):
@@ -253,9 +256,7 @@ def _cmd_solve(args) -> int:
         recon = state.x.reshape((inst.n1, inst.n2), order="F")
         write_pgm(out_dir / "reconstruction.pgm", recon)
         lines.append(f"psnr_db = {psnr(recon, inst.ground_truth):.4f}")
-        lines.append(f"relative_error = {relative_error(recon.ravel(), inst.ground_truth.ravel()):.6e}")
-    else:
-        lines.append(f"relative_error = {relative_error(state.x, inst.ground_truth):.6e}")
+    lines.append(f"relative_error = {relative_error(state.x, inst.ground_truth.ravel(order='F')):.6e}")
     # one line per continuation stage that took a step, from the trace
     for stage, recs in itertools.groupby(state.trace, key=lambda rec: rec.stage):
         recs = list(recs)
@@ -276,10 +277,7 @@ def _cmd_spectrum(args) -> int:
     cfg = parse_config(args.config)
     if args.every < 1:
         raise ValueError(f"--every must be >= 1, got {args.every}")
-    if args.nu is not None and not 0.0 < args.nu < math.inf:
-        raise ValueError(f"--nu must be positive and finite, got {args.nu}")
     inst, obj, schedule, config = _build_solve(cfg)
-    nu = args.nu if args.nu is not None else 0.5 / cfg["mu"]  # the build rejected mu = 0
     # the size of the problem actually built: a PGM image sets its own
     if inst.A.cols > SPECTRUM_MAX_N:
         raise ValueError(f"spectrum needs n <= {SPECTRUM_MAX_N}, got {inst.A.cols}")
@@ -299,7 +297,7 @@ def _cmd_spectrum(args) -> int:
             writer.writerow(["system", "stage", "iter", "index", "raw_lambda", "precond_lambda",
                              "sigma", "delta", "chi", "bound", "bound_kernel", "kernel_residual"])
             for sys_idx, (stage, k, system) in enumerate(systems):
-                rep = spectrum_report(system, nu)
+                rep = spectrum_report(system)
                 for i, (raw, pre, kres) in enumerate(
                     zip(rep.raw_eigs, rep.precond_eigs, rep.kernel_residuals)
                 ):
@@ -318,12 +316,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _default_check_instance() -> SmoothedObjective:
-    image = shepp_logan(16, 16)[4:12, 4:12]
-    inst = make_itv_instance(image, 0.5, math.inf, seed=7)
-    return SmoothedObjective(c=1e-1, mu=1e-2, A=inst.A, W=inst.W, b=inst.b)
-
-
 def _cmd_check(args) -> int:
     failures = 0
 
@@ -333,36 +325,35 @@ def _cmd_check(args) -> int:
         _say(f"{'PASS' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}")
 
     suites = ("derivatives", "invariants", "rate") if args.suite == "all" else (args.suite,)
+    # built and run as `solve` does: the 16x16 phantom from half its DCT
+    # coefficients at mu = 1e-2, and each suite sets only what it changes
+    settings = dict(_DEFAULTS, size=16, sampling_ratio=0.5, seed=3, mu=1e-2)
 
     if "derivatives" in suites:
-        rep = diagnostics.check_derivatives(_default_check_instance(), trials=50, seed=11)
+        _, obj, _, _ = _build_solve(dict(settings, c=0.1))
+        rep = diagnostics.check_derivatives(obj, trials=50, seed=11)
         for name, err, tol, ok in rep.rows():
             emit(f"derivatives/{name}", ok, f"max rel err {err:.3e} (tol {tol:.0e})")
 
-    if "invariants" in suites or "rate" in suites:
-        image = shepp_logan(16, 16)
-        inst = make_itv_instance(image, 0.5, math.inf, seed=3)
-        obj = SmoothedObjective(c=1e-2, mu=1e-2, A=inst.A, W=inst.W, b=inst.b)
-
     if "invariants" in suites:
-        config = SolverConfig(grad_tol=1e-8, max_outer=60, precond_mode="exact_banded")
-        state = run_continuation(obj, config, make_schedule(1e-2, 1e-2))
+        _, obj, schedule, config = _build_solve(dict(settings, grad_tol=1e-8, max_outer=60))
+        state, _ = _run_solve(obj, schedule, config)
         rep = diagnostics.check_solver_invariants(state.trace)
         for name, detail in rep.rows():
             emit(f"invariants/{name}", rep.passed, detail)
 
     if "rate" in suites:
-        config = SolverConfig(grad_tol=1e-10, max_outer=80, eta_schedule="decreasing",
-                              precond_mode="exact_banded")
-        traces = {"superlinear_tail": solve_subproblem(obj, config).trace}
+        _, obj, _, config = _build_solve(dict(settings, continuation="off", grad_tol=1e-10,
+                                              max_outer=80))
+        state, _ = _run_solve(obj, None, dataclasses.replace(config, eta_schedule="decreasing"))
+        traces = {"superlinear_tail": state.trace}
         # the 32x32 phantom at the solve command's defaults, both instance seeds
         for seed in (0, 1):
-            cfg = dict(_DEFAULTS, size=32, seed=seed)
-            _, obj_seed, schedule, defaults = _build_solve(cfg)
-            state, _ = _run_solve(obj_seed, schedule, defaults)
+            _, obj, schedule, config = _build_solve(dict(_DEFAULTS, size=32, seed=seed))
+            state, _ = _run_solve(obj, schedule, config)
             traces[f"phantom32_seed{seed}"] = state.trace
         for name, trace in traces.items():
-            tail = diagnostics.rate_probe(trace)[-3:]
+            tail = diagnostics.rate_probe(trace)
             ok = len(tail) == 3 and all(b < a for a, b in zip(tail, tail[1:])) and tail[-1] < 0.1
             emit(f"rate/{name}", ok, f"last ratios {[f'{r:.3e}' for r in tail]}")
 
@@ -386,9 +377,9 @@ def main(argv=None) -> int:
     p_solve.add_argument("--out-dir", type=str, required=True)
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_spec = sub.add_parser("spectrum", help="export Newton-system spectra as CSV")
+    p_spec = sub.add_parser("spectrum", help="export Newton-system spectra as CSV",
+                            description="Each system's bound uses nu = 0.5/mu of its own stage.")
     p_spec.add_argument("--config", type=str, required=True)
-    p_spec.add_argument("--nu", type=float, default=None)
     p_spec.add_argument("--out", type=str, required=True)
     p_spec.add_argument("--every", type=int, default=1,
                         help="export the systems of steps 0, k, 2k, ... of each stage")

@@ -128,12 +128,11 @@ def check_solver_invariants(trace: Sequence[IterationRecord]) -> InvariantReport
     return report
 
 
-def rate_probe(trace: Sequence[IterationRecord], window: int = 5) -> List[float]:
-    """Consecutive gradient-norm ratios over the last ``window`` records
-    of the final stage; empty when fewer than two records exist."""
+def rate_probe(trace: Sequence[IterationRecord]) -> List[float]:
+    """The last three consecutive gradient-norm ratios of the final stage;
+    fewer when the stage has fewer than four records."""
     if not trace:
         return []
     last_stage = trace[-1].stage
-    gnorms = [rec.grad_norm for rec in trace if rec.stage == last_stage]
-    gnorms = gnorms[-(window + 1):]
+    gnorms = [rec.grad_norm for rec in trace if rec.stage == last_stage][-4:]
     return [gnorms[i + 1] / gnorms[i] for i in range(len(gnorms) - 1)]

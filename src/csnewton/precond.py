@@ -229,9 +229,9 @@ class SpectrumReport:
 
     ``kernel_residuals[i]`` measures how much of the i-th preconditioned
     eigenvector survives the analysis rows with small Huber diagonal
-    (the set where D_i >= nu): near-zero means the eigenvector sits in
-    the kernel branch of the clustering bound, for which only the looser
-    ``bound_kernel`` applies.
+    (D_i >= nu = 0.5/mu, at the system's own mu): near-zero means the
+    eigenvector sits in the kernel branch of the clustering bound, for
+    which only the looser ``bound_kernel`` applies.
     """
 
     raw_eigs: np.ndarray
@@ -248,11 +248,11 @@ def theorem_bound(chi: float, denom: float) -> float:
     return 0.5 * (chi + 1.0 + np.sqrt(5.0 * chi**2 - 2.0 * chi + 1.0)) / denom
 
 
-def spectrum_report(system, nu: float) -> SpectrumReport:
+def spectrum_report(system) -> SpectrumReport:
     """Eigenvalues of one Newton system's Bhat and of its form
     preconditioned by c*sym(Bt) + RHO*I, plus the clustering-bound
-    ingredients, all computed densely (n <= ``SPECTRUM_MAX_N``): delta
-    is ||A A^T - I||_2 from the dense A."""
+    ingredients at nu = 0.5/mu of the system's own objective, all dense
+    (n <= ``SPECTRUM_MAX_N``): delta is ||A A^T - I||_2 from the dense A."""
     obj = system.obj
     n = obj.n
     if n > SPECTRUM_MAX_N:
@@ -267,6 +267,7 @@ def spectrum_report(system, nu: float) -> SpectrumReport:
     pre_eigs, vecs = eigh(bd, nd)
 
     d = system.d
+    nu = 0.5 / obj.mu
     sigma = int(np.sum(d < nu))
     outside = d >= nu  # complement of the small-diagonal set
     ad = dense_columns(obj.A.apply, n)

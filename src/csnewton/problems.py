@@ -123,6 +123,13 @@ def add_noise_to_psnr(image: np.ndarray, target_psnr: float, seed: int) -> np.nd
     return image + scale * e
 
 
+def _measurement_count(sampling_ratio: float, n: int) -> int:
+    """max(1, round(sampling_ratio * n)) measurements of n unknowns."""
+    if not 0.0 < sampling_ratio <= 1.0:
+        raise ValueError("sampling_ratio must lie in (0, 1]")
+    return max(1, round(sampling_ratio * n))
+
+
 def make_itv_instance(
     image: np.ndarray,
     sampling_ratio: float,
@@ -139,10 +146,7 @@ def make_itv_instance(
     image = np.asarray(image, dtype=np.float64)
     n1, n2 = image.shape
     n = n1 * n2
-    if not 0.0 < sampling_ratio <= 1.0:
-        raise ValueError("sampling_ratio must lie in (0, 1]")
-    m = max(1, round(sampling_ratio * n))
-    mask = make_mask(n, m, seed + 1)
+    mask = make_mask(n, _measurement_count(sampling_ratio, n), seed + 1)
     A = make_partial_dct2(n1, n2, mask)
     W = make_gradient2d(n1, n2)
     b = A.apply(add_noise_to_psnr(image, target_psnr, seed).ravel(order="F"))
@@ -154,8 +158,8 @@ def make_l1_dense_instance(n: int, sampling_ratio: float, seed: int) -> ProblemI
     max(1, round(sampling_ratio * n)) Gaussian measurements and a Gaussian
     signal, drawn in that order, without noise.  The signal's analysis
     W* x is dense, so the instance tests convergence, not recovery."""
+    m = _measurement_count(sampling_ratio, n)
     rng = np.random.default_rng(seed)
-    m = max(1, round(sampling_ratio * n))
     q, _ = np.linalg.qr(rng.standard_normal((2 * n, n)))
     W = make_dense_dictionary(q.T)
     A = make_dense_dictionary(rng.standard_normal((m, n)) / math.sqrt(n))

@@ -242,7 +242,7 @@ def test_solve_deterministic(tmp_path):
 
 def test_solve_rejects_unknown_key(tmp_path, capsys):
     # tau1, tau2 and rho are solver constants, not config keys, and the
-    # spectrum command takes nu as --nu
+    # spectrum command takes nu = 0.5/mu from each system's own stage
     for key in ("bogus_key", "tau1", "tau2", "rho", "nu"):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SOLVE_CONFIG + f"\n{key} = 0.5\n")
@@ -378,8 +378,10 @@ def test_solve_rejects_nonfinite_settings(tmp_path, capsys, setting, named):
 @pytest.mark.parametrize("setting, named", [
     ("mu = 0", "mu = 0.0"), ("c = inf", "c = inf"), ("mu = inf", "mu = inf"),
     ("c = nan", "c = nan"), ("eta = 0", "eta"), ("target_psnr = 10000", "target_psnr"),
-    # the config reader also rejects the image and target_psnr that l1-dense ignores
+    # the config reader also rejects the image and target_psnr that l1-dense
+    # ignores, and the size that an image file would override
     ("problem = l1-dense", "takes no image or target_psnr"),
+    ("image = phantom.pgm", "takes no size"),
 ])
 def test_bad_setting_makes_no_file(tmp_path, capsys, setting, named):
     # the objective checks c and mu, the solver config eta, and the config
@@ -497,15 +499,17 @@ def test_spectrum_command(tmp_path):
     data = np.array([[float(r[4]), float(r[5])] for r in rows[1:]])
     assert np.all(np.isfinite(data))
     assert np.all(data[:, 0] > 0)
-    # with every analysis row in the small-diagonal set (sigma = n = 256)
-    # no eigenvector survives outside it; past that, some do
+    # no eigenvector survives outside the small-diagonal set exactly when
+    # every analysis row is in it (sigma = n = 256)
     residuals = {}
     for r in rows[1:]:
-        residuals.setdefault((r[0], int(r[6])), []).append(float(r[-1]))
-    assert 256 in {sigma for _, sigma in residuals} and min(s for _, s in residuals) < 256
-    for (_, sigma), values in residuals.items():
+        residuals.setdefault((r[0], r[1], int(r[6])), []).append(float(r[-1]))
+    for (_, _, sigma), values in residuals.items():
         assert all(0.0 <= v < np.inf for v in values)
         assert (max(values) == 0.0) == (sigma == 256)
+    # stage 0 starts from x = 0, where every D_i = 1/mu lies above its own
+    # stage's nu = 0.5/mu
+    assert [sigma for (system, stage, sigma) in residuals if system == "0"] == [0]
 
 
 @pytest.mark.parametrize("every", ["0", "-2"])
@@ -515,20 +519,6 @@ def test_spectrum_rejects_every_below_one(tmp_path, capsys, every):
     out = tmp_path / "s.csv"
     assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out), "--every", every]) == 2
     assert "--every must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("nu", ["-1", "0", "nan", "inf"])
-def test_spectrum_rejects_nu_not_positive_and_finite(tmp_path, capsys, monkeypatch, nu):
-    def no_solve(*args, **kwargs):
-        pytest.fail("spectrum solved with a bad --nu")
-
-    monkeypatch.setattr(cli, "_run_solve", no_solve)
-    cfg = tmp_path / "spec.cfg"
-    cfg.write_text(SOLVE_CONFIG)
-    out = tmp_path / "s.csv"
-    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out), "--nu", nu]) == 2
-    assert_one_error_line(capsys.readouterr().err, "--nu must be positive and finite")
     assert not out.exists()
 
 
@@ -582,12 +572,12 @@ def test_spectrum_keeps_its_status_when_the_reader_left(tmp_path):
 
 
 def test_spectrum_rejects_large_problem(tmp_path, capsys):
-    # n comes from the problem built: a 65x65 PGM is too large even though
-    # the config's size (16) is not
+    # n comes from the problem built: a 65x65 PGM sets its own size
     image = tmp_path / "big.pgm"
     cli.write_pgm(image, shepp_logan(65, 65))
     for text in (SOLVE_CONFIG.replace("size = 16", "size = 128"),
-                 SOLVE_CONFIG.replace("image = phantom", f"image = {image}")):
+                 SOLVE_CONFIG.replace("image = phantom", f"image = {image}")
+                 .replace("size = 16\n", "")):
         cfg = tmp_path / "spec.cfg"
         cfg.write_text(text)
         out = tmp_path / "s.csv"
@@ -642,6 +632,19 @@ def test_check_reports_failure(monkeypatch, capsys):
     monkeypatch.setattr(diagnostics, "check_solver_invariants", corrupted)
     assert run_cli(["check", "--suite", "invariants"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_aborts_when_its_solve_raises(monkeypatch, capsys):
+    # a check solve runs as a solve does: a solver error exits 2 with one
+    # error line, not 1, the code of a failed check
+    def broken(obj, config, schedule, **kwargs):
+        raise FloatingPointError("non-finite PCG residual")
+
+    monkeypatch.setattr(cli, "run_continuation", broken)
+    assert run_cli(["check", "--suite", "invariants"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: solve aborted: non-finite PCG residual\n"
+    assert captured.out == ""
 
 
 def test_check_unknown_suite_exits_2():

@@ -364,7 +364,7 @@ def test_spectrum_all_ones_when_target_equals_matrix():
     obj = SmoothedObjective(c=0.1, mu=1e-2, A=A, W=W, b=rng.standard_normal(n))
     x = rng.standard_normal(n)
     g = project_linf(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    rep = spectrum_report(NewtonSystem(obj, x, g), nu=0.5 / obj.mu)
+    rep = spectrum_report(NewtonSystem(obj, x, g))
     np.testing.assert_allclose(rep.precond_eigs, np.ones(n), atol=1e-10)
     assert np.all(rep.raw_eigs > 0)
     assert np.all(np.diff(rep.raw_eigs) >= 0) and np.all(np.diff(rep.precond_eigs) >= 0)
@@ -380,7 +380,7 @@ def test_spectrum_shift_only_target_scales_raw():
     A = make_dense_dictionary(rng.standard_normal((n // 2, n)) / np.sqrt(n))
     obj = SmoothedObjective(c=1e-12, mu=1e-2, A=A, W=W, b=rng.standard_normal(n // 2))
     system = NewtonSystem(obj, rng.standard_normal(n), np.zeros(n))
-    rep = spectrum_report(system, nu=0.5 / obj.mu)
+    rep = spectrum_report(system)
     np.testing.assert_allclose(rep.precond_eigs, rep.raw_eigs / RHO, atol=1e-8)
 
 
@@ -392,7 +392,7 @@ def test_spectrum_rejects_large_n():
     big = SmoothedObjective(c=0.1, mu=1e-2, A=make_dense_dictionary(np.zeros((1, 5000))), W=W,
                             b=np.zeros(1))
     with pytest.raises(ValueError):
-        spectrum_report(NewtonSystem(big, zeros, zeros), nu=1.0)
+        spectrum_report(NewtonSystem(big, zeros, zeros))
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_SYSTEMS))
@@ -401,7 +401,7 @@ def test_spectrum_report_fields_and_sigma(kind):
     # the dense oracle's, Bhat = c*sym(Bt) + A^T A against the target
     obj, system = ORACLE_SYSTEMS[kind]()
     nu = 0.5 / obj.mu
-    rep = spectrum_report(system, nu=nu)
+    rep = spectrum_report(system)
     a = dense_columns(obj.A.apply, obj.n)
     bhat = obj.c * matrix_free_symb(system) + a.T @ a
     np.testing.assert_allclose(rep.raw_eigs, eigvalsh(bhat), rtol=1e-9, atol=1e-12)
@@ -434,7 +434,7 @@ def clustering_ladder():
         obj = SmoothedObjective(c=c, mu=mu, A=inst.A, W=inst.W, b=inst.b)
         state = run_continuation(obj, config, make_schedule(c, mu))
         assert state.converged
-        reports[mu] = spectrum_report(NewtonSystem(obj, state.x, state.g), nu=0.5 / mu)
+        reports[mu] = spectrum_report(NewtonSystem(obj, state.x, state.g))
     return reports
 
 

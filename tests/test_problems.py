@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,13 @@ def test_itv_instance_measurement_consistency():
 def test_itv_instance_rejects_bad_ratio():
     with pytest.raises(ValueError):
         make_itv_instance(shepp_logan(16, 16), 0.0, math.inf, seed=0)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 2.0, math.nan])
+def test_l1_dense_instance_rejects_bad_ratio(ratio):
+    # as make_itv_instance does, rather than draw a 1 x n or 2n x n A
+    with pytest.raises(ValueError, match=re.escape("sampling_ratio must lie in (0, 1]")):
+        make_l1_dense_instance(32, ratio, seed=0)
 
 
 def test_l1_dense_instance_draws_frame_then_a_then_x():
